@@ -1,0 +1,807 @@
+"""Chord diagrams and trivalent diagrams with an oriented external circle.
+
+A chord diagram of order n is an oriented circle with 2n marked points
+paired by n chords.  We encode it as a word of length 2n in which each
+chord label appears exactly twice, read counterclockwise from a base
+point; the canonical form is the lexicographically minimal word over all
+rotations and relabelings.  Rotations are quotiented, reflections are not
+(the circle is oriented).
+
+The trivalent generalisation (`CCD`) carries an oriented external circle
+plus internal trivalent vertices, each with a cyclic ordering of its
+three incident edge ends.  Reversing the cyclic order at one internal
+vertex is the antisymmetry move and costs a sign; `ccd_canonical_form`
+normalises orientations and reports the accumulated sign.
+
+`DiagramSum` is a formal linear combination with exact rational
+coefficients, used for all relation arithmetic downstream.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
+
+from .errors import DiagramError, ResourceGuardError
+
+CHORD_ENUM_GUARD = 7
+CCD_ENUM_GUARD = 5
+
+
+# ---------------------------------------------------------------------------
+# chord diagrams
+# ---------------------------------------------------------------------------
+
+def _relabel_first_occurrence(seq):
+    seen = {}
+    out = []
+    for s in seq:
+        if s not in seen:
+            seen[s] = len(seen) + 1
+        out.append(seen[s])
+    return tuple(out)
+
+
+@lru_cache(maxsize=200000)
+def _canonical_word(word):
+    m = len(word)
+    return min(
+        _relabel_first_occurrence(word[i:] + word[:i]) for i in range(m)
+    )
+
+
+@dataclass(frozen=True)
+class ChordDiagram:
+    """A chord diagram stored by its canonical word."""
+
+    word: tuple
+
+    @staticmethod
+    def from_word(seq) -> "ChordDiagram":
+        seq = tuple(seq)
+        if not seq or len(seq) % 2:
+            raise DiagramError("word length must be a positive even number")
+        counts = {}
+        for s in seq:
+            counts[s] = counts.get(s, 0) + 1
+        if any(c != 2 for c in counts.values()):
+            raise DiagramError("every chord label must appear exactly twice")
+        return ChordDiagram(_canonical_word(seq))
+
+    @staticmethod
+    def from_text(text: str) -> "ChordDiagram":
+        return ChordDiagram.from_word(int(ch) for ch in text.strip())
+
+    @property
+    def n(self) -> int:
+        return len(self.word) // 2
+
+    def as_text(self) -> str:
+        return "".join(str(c) for c in self.word)
+
+    def chords(self):
+        """Chord endpoints as position pairs (a, b), a < b."""
+        first = {}
+        out = []
+        for pos, lab in enumerate(self.word):
+            if lab in first:
+                out.append((first[lab], pos))
+            else:
+                first[lab] = pos
+        return out
+
+    def partner(self):
+        """Map position -> position of the other endpoint of its chord."""
+        where = {}
+        partner = [None] * len(self.word)
+        for pos, lab in enumerate(self.word):
+            if lab in where:
+                partner[pos] = where[lab]
+                partner[where[lab]] = pos
+            else:
+                where[lab] = pos
+        return partner
+
+    def __str__(self):
+        return self.as_text()
+
+
+def canonical_chord_form(d: ChordDiagram) -> ChordDiagram:
+    """Canonical representative (idempotent; rotation/relabel invariant)."""
+    return ChordDiagram.from_word(d.word)
+
+
+def chords_cross(a, b) -> bool:
+    """Do chords a=(a0,a1), b=(b0,b1) interleave on the circle?"""
+    a0, a1 = sorted(a)
+    return (a0 < b[0] < a1) != (a0 < b[1] < a1)
+
+
+def _matchings(points):
+    """All perfect matchings of an even-size list of points."""
+    if not points:
+        yield []
+        return
+    first = points[0]
+    for k in range(1, len(points)):
+        rest = points[1:k] + points[k + 1:]
+        for m in _matchings(rest):
+            yield [(first, points[k])] + m
+
+
+def _word_from_matching(m, size):
+    word = [0] * size
+    for lab, (a, b) in enumerate(m, start=1):
+        word[a] = lab
+        word[b] = lab
+    return tuple(word)
+
+
+def enumerate_chord_diagrams(n: int):
+    """All canonical chord diagrams of order n (guarded, n <= 7)."""
+    if not 1 <= n <= CHORD_ENUM_GUARD:
+        raise ResourceGuardError(
+            f"chord diagram enumeration supports 1 <= n <= {CHORD_ENUM_GUARD}"
+        )
+    out = set()
+    for m in _matchings(list(range(2 * n))):
+        out.add(ChordDiagram.from_word(_word_from_matching(m, 2 * n)))
+    return out
+
+
+def count_chord_diagrams_burnside(n: int) -> int:
+    """Independent counter: Burnside over the rotation group C_{2n}.
+
+    Counts matchings of 2n circle points fixed by each rotation by brute
+    force, without touching the canonical-form code path.
+    """
+    if not 1 <= n <= CHORD_ENUM_GUARD:
+        raise ResourceGuardError("counter supports the same guard as enumeration")
+    size = 2 * n
+    matchings = [frozenset(frozenset(p) for p in m)
+                 for m in _matchings(list(range(size)))]
+    total = 0
+    for r in range(size):
+        rot = lambda p: frozenset(frozenset((x + r) % size for x in pair)
+                                  for pair in p)
+        total += sum(1 for m in matchings if rot(m) == m)
+    if total % size:
+        raise DiagramError("Burnside sum must be divisible by the group order")
+    return total // size
+
+
+def is_split(d: ChordDiagram) -> bool:
+    """True iff some pair of complementary arcs separates the chords.
+
+    The order-1 diagram is declared split by convention: it carries no
+    primitive information above order one.
+    """
+    if d.n == 1:
+        return True
+    size = 2 * d.n
+    ch = d.chords()
+    for i in range(size):
+        for j in range(i + 1, size):
+            # arc = positions i..j-1, complement = j..i-1 (cyclically)
+            def inside(p):
+                return i <= p < j
+
+            ok = True
+            arc_used = False
+            comp_used = False
+            for a, b in ch:
+                ia, ib = inside(a), inside(b)
+                if ia != ib:
+                    ok = False
+                    break
+                if ia:
+                    arc_used = True
+                else:
+                    comp_used = True
+            if ok and arc_used and comp_used:
+                return True
+    return False
+
+
+# ---------------------------------------------------------------------------
+# CCDs (trivalent diagrams on the circle)
+# ---------------------------------------------------------------------------
+
+# Internal vertex slots are numbered 0,1,2 in the vertex's counterclockwise
+# cyclic order.  A target is ("x", p) for external vertex p, or ("v", j, s)
+# for slot s of internal vertex j.
+
+_FLIP_EFF = {0: 0, 2: 1, 1: 2}      # effective position of abs slot, flipped
+_FLIP_ABS = (0, 2, 1)               # abs slot at effective position, flipped
+
+
+@dataclass(frozen=True)
+class CCD:
+    """Trivalent diagram: external circle of `ext` vertices + internal ones.
+
+    `vertices[i]` is the 3-tuple of targets of internal vertex i in its
+    counterclockwise slot order.  Every external vertex has exactly one
+    incident edge.  Total vertex count 2n with n = order.
+    """
+
+    ext: int
+    vertices: tuple
+
+    def __post_init__(self):
+        if self.ext < 1:
+            raise DiagramError("a CCD needs at least one external vertex")
+        if (self.ext + len(self.vertices)) % 2:
+            raise DiagramError("total vertex count must be even")
+        ext_seen = {}
+        for i, slots in enumerate(self.vertices):
+            if len(slots) != 3:
+                raise DiagramError("internal vertices are trivalent")
+            for s, tgt in enumerate(slots):
+                if tgt[0] == "x":
+                    p = tgt[1]
+                    if not 0 <= p < self.ext:
+                        raise DiagramError("external index out of range")
+                    ext_seen.setdefault(p, []).append((i, s))
+                else:
+                    _, j, t = tgt
+                    if not (0 <= j < len(self.vertices) and 0 <= t < 3):
+                        raise DiagramError("internal reference out of range")
+                    if self.vertices[j][t] != ("v", i, s):
+                        raise DiagramError("edge incidence is not reciprocal")
+        # externals paired among themselves (chords) take up the rest
+        chord_ends = [p for p in range(self.ext) if p not in ext_seen]
+        if len(chord_ends) % 2:
+            raise DiagramError("unmatched external vertex")
+        for p, refs in ext_seen.items():
+            if len(refs) != 1:
+                raise DiagramError(f"external vertex {p} has degree != 1")
+
+    # -- construction helpers -------------------------------------------
+
+    @staticmethod
+    def build(ext, vertex_targets, chords=()):
+        """Build a CCD; `chords` lists external-external edges (p, q).
+
+        Chords are stored in `ext_pairs` implicitly; to keep a single
+        uniform encoding we expand chords into the external target table.
+        """
+        return CCD(ext, tuple(tuple(v) for v in vertex_targets))._with_chords(chords)
+
+    def _with_chords(self, chords):
+        object.__setattr__(self, "_chords", tuple(tuple(sorted(c)) for c in chords))
+        return self
+
+    @property
+    def chord_pairs(self):
+        """External-external edges (sorted pairs)."""
+        got = getattr(self, "_chords", None)
+        if got is not None:
+            return got
+        used = set()
+        for slots in self.vertices:
+            for tgt in slots:
+                if tgt[0] == "x":
+                    used.add(tgt[1])
+        free = [p for p in range(self.ext) if p not in used]
+        if free:
+            raise DiagramError(
+                "chord pairing is ambiguous; construct via from_chord_diagram"
+                " or pass chords to build()"
+            )
+        return ()
+
+    @staticmethod
+    def from_chord_diagram(d: ChordDiagram) -> "CCD":
+        return CCD.build(2 * d.n, (), d.chords())
+
+    @property
+    def order(self) -> int:
+        return (self.ext + len(self.vertices)) // 2
+
+    @property
+    def internal_count(self) -> int:
+        return len(self.vertices)
+
+    def external_target(self, p):
+        """What external vertex p is joined to: a target or ("x", q) chord."""
+        for i, slots in enumerate(self.vertices):
+            for s, tgt in enumerate(slots):
+                if tgt == ("x", p):
+                    return ("v", i, s)
+        for a, b in self.chord_pairs:
+            if a == p:
+                return ("x", b)
+            if b == p:
+                return ("x", a)
+        raise DiagramError(f"external vertex {p} has no edge")
+
+    def is_chord_diagram(self) -> bool:
+        return not self.vertices
+
+    def to_chord_diagram(self) -> ChordDiagram:
+        if self.vertices:
+            raise DiagramError("diagram still has internal vertices")
+        word = [0] * self.ext
+        for lab, (a, b) in enumerate(self.chord_pairs, start=1):
+            word[a] = lab
+            word[b] = lab
+        return ChordDiagram.from_word(word)
+
+    # -- canonical form ---------------------------------------------------
+
+    def _certificate(self, r, flips):
+        E = self.ext
+        ext_map = {}
+        for a, b in self.chord_pairs:
+            ext_map[a] = ("x", b)
+            ext_map[b] = ("x", a)
+        for i, slots in enumerate(self.vertices):
+            for s, tgt in enumerate(slots):
+                if tgt[0] == "x":
+                    ext_map[tgt[1]] = ("v", i, s)
+
+        label = {}
+        out = []
+        next_label = [0]
+
+        def eff(j, s_abs):
+            return _FLIP_EFF[s_abs] if flips[j] else s_abs
+
+        def abs_slot(j, e):
+            return _FLIP_ABS[e] if flips[j] else e
+
+        queue = []
+
+        def symbol(tgt):
+            if tgt[0] == "x":
+                return (0, (tgt[1] - r) % E)
+            _, j, s_abs = tgt
+            e = eff(j, s_abs)
+            if j in label:
+                lab, entry = label[j]
+                return (1, lab, (e - entry) % 3)
+            label[j] = (next_label[0], e)
+            queue.append(j)
+            sym = (2, next_label[0])
+            next_label[0] += 1
+            return sym
+
+        for p_new in range(E):
+            p_abs = (p_new + r) % E
+            out.append(symbol(ext_map[p_abs]))
+            while queue:
+                j = queue.pop(0)
+                lab, entry = label[j]
+                for k in (1, 2):
+                    s_abs = abs_slot(j, (entry + k) % 3)
+                    out.append(symbol(self.vertices[j][s_abs]))
+        if len(label) != len(self.vertices):
+            raise DiagramError("CCD graph is disconnected")
+        return tuple(out)
+
+    def canonical(self):
+        """(canonical CCD, sign, as_null).
+
+        Minimises the traversal certificate over external rotations and
+        internal orientation flips.  `sign` is -1 when the minimum needs an
+        odd number of antisymmetry flips; `as_null` flags diagrams carrying
+        an orientation-reversing automorphism (zero over the rationals).
+        """
+        cached = getattr(self, "_canon", None)
+        if cached is not None:
+            return cached
+        I = len(self.vertices)
+        best = None
+        best_sign = 1
+        parities = set()
+        for mask in range(1 << I):
+            flips = [(mask >> i) & 1 for i in range(I)]
+            parity = -1 if sum(flips) % 2 else 1
+            for r in range(self.ext):
+                cert = self._certificate(r, flips)
+                if best is None or cert < best:
+                    best = cert
+                    best_sign = parity
+                    parities = {parity}
+                elif cert == best:
+                    parities.add(parity)
+        canon = _ccd_from_certificate(self.ext, best)
+        result = (canon, best_sign, len(parities) == 2)
+        object.__setattr__(self, "_canon", result)
+        return result
+
+    def key(self):
+        """Hashable identity of the canonical class (ignoring sign)."""
+        canon, _, _ = self.canonical()
+        return (canon.ext, canon.vertices, canon.chord_pairs)
+
+    def rigid_key(self):
+        """Isomorphism key that respects vertex orientations (no flips)."""
+        flips = [0] * len(self.vertices)
+        return min(self._certificate(r, flips) for r in range(self.ext))
+
+    def __hash__(self):
+        return hash((self.ext, self.vertices, self.chord_pairs))
+
+    def __eq__(self, other):
+        if not isinstance(other, CCD):
+            return NotImplemented
+        return (self.ext, self.vertices, self.chord_pairs) == (
+            other.ext, other.vertices, other.chord_pairs)
+
+    def to_json_dict(self):
+        """Serialisable encoding of the canonical form (bit-exact)."""
+        canon, _, _ = self.canonical()
+        edges = []
+        seen = set()
+        for i, slots in enumerate(canon.vertices):
+            for s, tgt in enumerate(slots):
+                a = ["v", i, s]
+                b = list(tgt)
+                k = tuple(sorted((tuple(a), tuple(b))))
+                if k not in seen:
+                    seen.add(k)
+                    edges.append(sorted((a, b)))
+        for a, b in canon.chord_pairs:
+            edges.append([["x", a], ["x", b]])
+        return {
+            "order": canon.order,
+            "external": list(range(canon.ext)),
+            "vertices": [[list(t) for t in slots] for slots in canon.vertices],
+            "edges": sorted(edges),
+        }
+
+
+def _ccd_from_certificate(ext, cert):
+    """Rebuild the canonical CCD back from a traversal certificate."""
+    cert = list(cert)
+    pos = 0
+    vertices = {}
+    chords = set()
+    entry_of = {}
+
+    def read_targets(owner_sym):
+        nonlocal pos
+        lab = owner_sym[1]
+        for k in (1, 2):
+            sym = cert[pos]
+            pos += 1
+            slot = (entry_of[lab] + k) % 3
+            _attach(lab, slot, sym)
+
+    pending = []
+
+    def _attach(lab, slot, sym):
+        if sym[0] == 0:
+            vertices[(lab, slot)] = ("x", sym[1])
+        elif sym[0] == 1:
+            other, delta = sym[1], sym[2]
+            oslot = (entry_of[other] + delta) % 3
+            vertices[(lab, slot)] = ("v", other, oslot)
+        else:
+            new = sym[1]
+            entry_of[new] = 0
+            vertices[(lab, slot)] = ("v", new, 0)
+            vertices[(new, 0)] = ("v", lab, slot)
+            pending.append(sym)
+
+    p = 0
+    while pos < len(cert):
+        sym = cert[pos]
+        pos += 1
+        if sym[0] == 0:
+            a, b = p, sym[1]
+            chords.add((min(a, b), max(a, b)))
+        elif sym[0] == 2:
+            new = sym[1]
+            entry_of[new] = 0
+            vertices[(new, 0)] = ("x", p)
+            pending.append(sym)
+        else:
+            # edge to an already-discovered vertex; recorded from its side
+            lab, delta = sym[1], sym[2]
+            vertices[(lab, (entry_of[lab] + delta) % 3)] = ("x", p)
+        while pending:
+            read_targets(pending.pop(0))
+        p += 1
+
+    nv = 1 + max((lab for lab, _ in vertices), default=-1)
+    table = []
+    for i in range(nv):
+        table.append(tuple(vertices[(i, s)] for s in range(3)))
+    return CCD.build(ext, table, sorted(chords))
+
+
+def ccd_canonical_form(c: CCD):
+    """(canonical CCD, sign) under rotation/relabel/orientation moves."""
+    canon, sign, _ = c.canonical()
+    return canon, sign
+
+
+def ccd_is_null(c: CCD) -> bool:
+    """True when c admits an orientation-reversing automorphism (so 2c = 0)."""
+    return c.canonical()[2]
+
+
+def is_connected_ccd(c: CCD) -> bool:
+    """Not split: no pair of complementary external arcs isolates components.
+
+    A component is either a chord or a connected piece of the internal
+    graph together with the external vertices it touches.
+    """
+    E = c.ext
+    comps = []
+    for a, b in c.chord_pairs:
+        comps.append({a, b})
+    I = len(c.vertices)
+    if I:
+        parent = list(range(I))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for i, slots in enumerate(c.vertices):
+            for tgt in slots:
+                if tgt[0] == "v":
+                    a, b = find(i), find(tgt[1])
+                    if a != b:
+                        parent[a] = b
+        attach = {}
+        for i, slots in enumerate(c.vertices):
+            root = find(i)
+            for tgt in slots:
+                if tgt[0] == "x":
+                    attach.setdefault(root, set()).add(tgt[1])
+        comps.extend(attach.values())
+    if E == 1 or len(comps) <= 1:
+        return True
+    for i in range(E):
+        for j in range(i + 1, E):
+            def inside(p):
+                return i <= p < j
+
+            ok = True
+            arc_used = comp_used = False
+            for comp in comps:
+                flags = {inside(p) for p in comp}
+                if len(flags) > 1:
+                    ok = False
+                    break
+                if flags.pop():
+                    arc_used = True
+                else:
+                    comp_used = True
+            if ok and arc_used and comp_used:
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# formal sums
+# ---------------------------------------------------------------------------
+
+class DiagramSum:
+    """Formal rational combination of canonical diagrams of equal order."""
+
+    __slots__ = ("terms", "order")
+
+    def __init__(self, terms=None):
+        self.terms = {}
+        self.order = None
+        if terms:
+            for d, c in (terms.items() if isinstance(terms, dict) else terms):
+                self.add(d, c)
+
+    def add(self, diagram, coeff):
+        coeff = Fraction(coeff)
+        if coeff == 0:
+            return self
+        if isinstance(diagram, CCD):
+            if diagram.is_chord_diagram():
+                diagram = diagram.to_chord_diagram()
+            else:
+                canon, sign, null = diagram.canonical()
+                if null:
+                    return self
+                diagram, coeff = canon, coeff * sign
+        elif isinstance(diagram, ChordDiagram):
+            diagram = canonical_chord_form(diagram)
+        else:
+            raise DiagramError("DiagramSum holds ChordDiagram or CCD terms")
+        order = diagram.n if isinstance(diagram, ChordDiagram) else diagram.order
+        if self.order is None:
+            self.order = order
+        elif self.order != order:
+            raise DiagramError("mixed orders in one DiagramSum")
+        new = self.terms.get(diagram, Fraction(0)) + coeff
+        if new == 0:
+            self.terms.pop(diagram, None)
+            if not self.terms:
+                self.order = None
+        else:
+            self.terms[diagram] = new
+        return self
+
+    def __add__(self, other):
+        out = DiagramSum()
+        for d, c in self.terms.items():
+            out.add(d, c)
+        for d, c in other.terms.items():
+            out.add(d, c)
+        return out
+
+    def __sub__(self, other):
+        return self + other.scaled(-1)
+
+    def scaled(self, k):
+        out = DiagramSum()
+        for d, c in self.terms.items():
+            out.add(d, c * Fraction(k))
+        return out
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def items_sorted(self):
+        def keyf(item):
+            d, _ = item
+            if isinstance(d, ChordDiagram):
+                return (0, d.word)
+            return (1, d.ext, d.vertices, d.chord_pairs)
+        return sorted(self.terms.items(), key=keyf)
+
+    def __eq__(self, other):
+        return isinstance(other, DiagramSum) and self.terms == other.terms
+
+    def __repr__(self):
+        bits = []
+        for d, c in self.items_sorted():
+            name = d.as_text() if isinstance(d, ChordDiagram) else f"ccd<{d.order}>"
+            bits.append(f"{c}*{name}")
+        return " + ".join(bits) if bits else "0"
+
+    def to_jsonable(self):
+        terms = []
+        for d, c in self.items_sorted():
+            key = d.as_text() if isinstance(d, ChordDiagram) else d.to_json_dict()
+            terms.append({"diagram": key, "num": c.numerator, "den": c.denominator})
+        return {"order": self.order or 0, "terms": terms}
+
+
+# ---------------------------------------------------------------------------
+# CCD enumeration (small orders, for tests and the placement-independence
+# checks); guarded since the matching space grows factorially.
+# ---------------------------------------------------------------------------
+
+def _build_ccd_from_matching(E, I, pairs):
+    table = [[None] * 3 for _ in range(I)]
+    chords = []
+    for a, b in pairs:
+        if a[0] == "x" and b[0] == "x":
+            chords.append((a[1], b[1]))
+        elif a[0] == "x":
+            table[b[1]][b[2]] = ("x", a[1])
+        elif b[0] == "x":
+            table[a[1]][a[2]] = ("x", b[1])
+        else:
+            table[a[1]][a[2]] = ("v", b[1], b[2])
+            table[b[1]][b[2]] = ("v", a[1], a[2])
+    try:
+        ccd = CCD.build(E, [tuple(v) for v in table], chords)
+    except DiagramError:
+        return None
+    # require the whole graph connected (reachability from the circle)
+    if I:
+        seen = set()
+        stack = [j for j in range(I)
+                 if any(t[0] == "x" for t in table[j])]
+        seen.update(stack)
+        while stack:
+            j = stack.pop()
+            for t in table[j]:
+                if t[0] == "v" and t[1] not in seen:
+                    seen.add(t[1])
+                    stack.append(t[1])
+        if len(seen) != I:
+            return None
+    return ccd
+
+
+def _matchings_canonically_labelled(E, I):
+    """Matchings of the E + 3I half-edge ends, one per vertex relabeling.
+
+    Internal vertices are forced to appear in first-touch order with their
+    first-touched slot being slot 0, which removes the relabeling and
+    slot-rotation redundancy from the search without losing any class.
+    """
+    ends = [("x", p) for p in range(E)]
+    for j in range(I):
+        ends.extend((("v", j, s) for s in range(3)))
+    order = {e: i for i, e in enumerate(ends)}
+
+    def rec(unpaired, touched, acc):
+        if not unpaired:
+            yield list(acc)
+            return
+        first = unpaired[0]
+        if first[0] == "v" and first[1] not in touched:
+            touched = touched | {first[1]}
+        for c in unpaired[1:]:
+            if c[0] == "v" and c[1] not in touched:
+                fresh = min(j for j in range(I) if j not in touched)
+                if c[1] != fresh or c[2] != 0:
+                    continue
+                new_touched = touched | {c[1]}
+            else:
+                new_touched = touched
+            rest = [e for e in unpaired[1:] if e != c]
+            acc.append((first, c))
+            yield from rec(rest, new_touched, acc)
+            acc.pop()
+
+    yield from rec(ends, set(), [])
+
+
+def sample_connected_ccds(n: int, count: int, seed: int = 0):
+    """Deterministic sample of distinct connected CCDs of order n.
+
+    Random half-edge matchings filtered for validity and connectedness;
+    used where full enumeration would be factorially large.
+    """
+    import random as _random
+
+    rnd = _random.Random(seed)
+    out = {}
+    tries = 0
+    while len(out) < count and tries < 20000 * count:
+        tries += 1
+        I = rnd.randrange(0, 2 * n)
+        E = 2 * n - I
+        if E < 1:
+            continue
+        ends = [("x", p) for p in range(E)]
+        for j in range(I):
+            ends.extend((("v", j, s) for s in range(3)))
+        rnd.shuffle(ends)
+        pairs = [(ends[i], ends[i + 1]) for i in range(0, len(ends), 2)]
+        ccd = _build_ccd_from_matching(E, I, pairs)
+        if ccd is None or not is_connected_ccd(ccd):
+            continue
+        canon, _, null = ccd.canonical()
+        if null:
+            continue
+        out.setdefault(ccd.key(), canon)
+    if len(out) < count:
+        raise ResourceGuardError("sampling budget exhausted")
+    return sorted(out.values(), key=lambda c: (c.internal_count, c.ext,
+                                               c.vertices,
+                                               c.chord_pairs))[:count]
+
+
+def enumerate_connected_ccds(n: int):
+    """All connected CCDs of order n up to isomorphism (and antisymmetry).
+
+    Connected means not split in the sense of `is_connected_ccd`.  The
+    guard keeps the half-edge matching space at desk scale.
+    """
+    if not 1 <= n <= CCD_ENUM_GUARD:
+        raise ResourceGuardError(
+            f"connected CCD enumeration supports 1 <= n <= {CCD_ENUM_GUARD}")
+    out = {}
+    for I in range(0, 2 * n):
+        E = 2 * n - I
+        if E < 1:
+            continue
+        for m in _matchings_canonically_labelled(E, I):
+            ccd = _build_ccd_from_matching(E, I, m)
+            if ccd is None or not is_connected_ccd(ccd):
+                continue
+            canon, _, _ = ccd.canonical()
+            out.setdefault(ccd.key(), canon)
+    return sorted(out.values(), key=lambda c: (c.internal_count, c.ext,
+                                               c.vertices, c.chord_pairs))

@@ -1,0 +1,431 @@
+"""Extended Gauss codes for knot diagrams.
+
+A code is the cyclic sequence of crossing passages along the knot; each
+crossing is visited once over and once under, and both visits carry the
+crossing sign.  Text form: comma-separated tokens like ``O12+`` / ``U7-``.
+
+Planarity is decidable from the code alone: each crossing fixes the
+counterclockwise rotation of its four edge ends (depending on the sign),
+and the code is realizable if and only if the resulting rotation system
+has genus zero.  `simplify` runs Reidemeister I/II greedily plus a
+breadth-first search over triangle (III) moves within a configurable
+state budget; reaching the empty code certifies the unknot, anything
+else is inconclusive and callers fall back to the determinant
+`alexander_det` (= |Alexander polynomial at -1|) as a necessary condition.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+from dataclasses import dataclass
+from heapq import heappop, heappush
+
+from .errors import DiagramError
+
+DEFAULT_BUDGET = 10000
+BUDGET_ENV = "VASSILIEV_SIMPLIFY_BUDGET"
+
+
+@dataclass(frozen=True)
+class Passage:
+    crossing: int
+    over: bool
+    sign: int
+
+    def token(self) -> str:
+        return f"{'O' if self.over else 'U'}{self.crossing}{'+' if self.sign > 0 else '-'}"
+
+
+_TOKEN = re.compile(r"^([OU])(\d+)([+-])$")
+
+
+@dataclass(frozen=True)
+class GaussCode:
+    passages: tuple
+
+    def __post_init__(self):
+        seen = {}
+        for p in self.passages:
+            seen.setdefault(p.crossing, []).append(p)
+        for cid, ps in seen.items():
+            if len(ps) != 2:
+                raise DiagramError(f"crossing {cid} appears {len(ps)} times")
+            a, b = ps
+            if a.over == b.over:
+                raise DiagramError(f"crossing {cid} lacks an over/under pair")
+            if a.sign != b.sign:
+                raise DiagramError(f"crossing {cid} has inconsistent signs")
+
+    # -- construction / formatting ---------------------------------------
+
+    @staticmethod
+    def from_text(text: str) -> "GaussCode":
+        text = text.strip()
+        if not text:
+            return GaussCode(())
+        out = []
+        for tok in text.split(","):
+            m = _TOKEN.match(tok.strip())
+            if not m:
+                raise DiagramError(f"bad Gauss code token {tok!r}")
+            out.append(Passage(int(m.group(2)), m.group(1) == "O",
+                               1 if m.group(3) == "+" else -1))
+        return GaussCode(tuple(out))
+
+    def to_text(self) -> str:
+        return ",".join(p.token() for p in self.passages)
+
+    def __len__(self):
+        return len(self.passages) // 2
+
+    @property
+    def crossings(self):
+        return sorted({p.crossing for p in self.passages})
+
+    def sign_of(self, cid: int) -> int:
+        for p in self.passages:
+            if p.crossing == cid:
+                return p.sign
+        raise DiagramError(f"no crossing {cid}")
+
+    # -- moves on the code -------------------------------------------------
+
+    def switched(self, ids) -> "GaussCode":
+        """Switch the named crossings: swap over/under, flip the sign."""
+        ids = set(ids)
+        out = []
+        for p in self.passages:
+            if p.crossing in ids:
+                out.append(Passage(p.crossing, not p.over, -p.sign))
+            else:
+                out.append(p)
+        return GaussCode(tuple(out))
+
+    def mirrored(self) -> "GaussCode":
+        return self.switched({p.crossing for p in self.passages})
+
+    def relabelled(self, offset: int) -> "GaussCode":
+        return GaussCode(tuple(
+            Passage(p.crossing + offset, p.over, p.sign) for p in self.passages))
+
+    def canonical_key(self):
+        """Rotation- and relabel-invariant identity of the code."""
+        ps = self.passages
+        m = len(ps)
+        if m == 0:
+            return ()
+        best = None
+        for r in range(m):
+            rel = {}
+            out = []
+            for i in range(m):
+                p = ps[(r + i) % m]
+                lab = rel.setdefault(p.crossing, len(rel) + 1)
+                out.append((lab, p.over, p.sign))
+            t = tuple(out)
+            if best is None or t < best:
+                best = t
+        return best
+
+    # -- planarity ---------------------------------------------------------
+
+    def _rotation_faces(self):
+        """Face count of the rotation system induced by signs."""
+        ps = self.passages
+        m = len(ps)
+        if m == 0:
+            return 2, 0, 0
+        # ends: (crossing, kind) kind in {o_in, o_out, u_in, u_out}
+        # ccw orders: + : o_out, u_out, o_in, u_in ; - : o_out, u_in, o_in, u_out
+        rot = {}
+        for cid in {p.crossing for p in ps}:
+            sign = self.sign_of(cid)
+            if sign > 0:
+                order = [(cid, "o_out"), (cid, "u_out"), (cid, "o_in"), (cid, "u_in")]
+            else:
+                order = [(cid, "o_out"), (cid, "u_in"), (cid, "o_in"), (cid, "u_out")]
+            for i, d in enumerate(order):
+                rot[d] = order[(i + 1) % 4]
+        # edge involution: consecutive passages give an edge out -> in
+        alpha = {}
+        for i, p in enumerate(ps):
+            q = ps[(i + 1) % m]
+            a = (p.crossing, "o_out" if p.over else "u_out")
+            b = (q.crossing, "o_in" if q.over else "u_in")
+            alpha[a] = b
+            alpha[b] = a
+        faces = 0
+        seen = set()
+        for start in rot:
+            if start in seen:
+                continue
+            faces += 1
+            d = start
+            while True:
+                seen.add(d)
+                d = rot[alpha[d]]
+                if d == start:
+                    break
+        V = len({p.crossing for p in ps})
+        E = m
+        return faces, V, E
+
+    def genus(self) -> int:
+        F, V, E = self._rotation_faces()
+        euler = V - E + F
+        if euler % 2:
+            raise DiagramError("rotation system produced an odd Euler number")
+        return (2 - euler) // 2
+
+    def is_realizable(self) -> bool:
+        return self.genus() == 0
+
+
+# ---------------------------------------------------------------------------
+# Reidemeister moves
+# ---------------------------------------------------------------------------
+
+def _remove_positions(ps, positions):
+    keep = [p for i, p in enumerate(ps) if i not in positions]
+    return GaussCode(tuple(keep))
+
+
+def reidemeister_one(code: GaussCode):
+    """All codes obtained by removing a kink (adjacent equal crossings)."""
+    ps = code.passages
+    m = len(ps)
+    out = []
+    for i in range(m):
+        j = (i + 1) % m
+        if ps[i].crossing == ps[j].crossing:
+            out.append(_remove_positions(ps, {i, j}))
+    return out
+
+
+def reidemeister_two(code: GaussCode):
+    """All codes obtained by cancelling a bigon (adjacent over-over pair
+    matched by the same pair adjacent under-under elsewhere)."""
+    ps = code.passages
+    m = len(ps)
+    out = []
+    for i in range(m):
+        j = (i + 1) % m
+        a, b = ps[i], ps[j]
+        if a.crossing == b.crossing:
+            continue
+        if not (a.over and b.over):
+            continue
+        for k in range(m):
+            l = (k + 1) % m
+            c, d = ps[k], ps[l]
+            if {c.crossing, d.crossing} != {a.crossing, b.crossing}:
+                continue
+            if c.over or d.over:
+                continue
+            if a.sign * b.sign != -1:
+                continue
+            out.append(_remove_positions(ps, {i, j, k, l}))
+    return out
+
+
+def _triangle_faces(code: GaussCode):
+    """Triangular faces as triples of code arc positions."""
+    ps = code.passages
+    m = len(ps)
+    if m == 0:
+        return []
+    rot = {}
+    for cid in {p.crossing for p in ps}:
+        sign = code.sign_of(cid)
+        if sign > 0:
+            order = [(cid, "o_out"), (cid, "u_out"), (cid, "o_in"), (cid, "u_in")]
+        else:
+            order = [(cid, "o_out"), (cid, "u_in"), (cid, "o_in"), (cid, "u_out")]
+        for i, d in enumerate(order):
+            rot[d] = order[(i + 1) % 4]
+    alpha = {}
+    arc_of = {}
+    for i, p in enumerate(ps):
+        q = ps[(i + 1) % m]
+        a = (p.crossing, "o_out" if p.over else "u_out")
+        b = (q.crossing, "o_in" if q.over else "u_in")
+        alpha[a] = b
+        alpha[b] = a
+        arc_of[a] = i
+        arc_of[b] = i
+    faces = []
+    seen = set()
+    for start in rot:
+        if start in seen:
+            continue
+        trail = []
+        d = start
+        while True:
+            seen.add(d)
+            trail.append(d)
+            d = rot[alpha[d]]
+            if d == start:
+                break
+        if len(trail) == 3:
+            arcs = {arc_of[alpha[d]] for d in trail}
+            if len(arcs) == 3:
+                faces.append(tuple(sorted(arcs)))
+    return faces
+
+
+def reidemeister_three(code: GaussCode):
+    """All codes obtained by sliding across a triangular face."""
+    ps = code.passages
+    m = len(ps)
+    out = []
+    for arcs in _triangle_faces(code):
+        positions = set()
+        for i in arcs:
+            positions.add(i)
+            positions.add((i + 1) % m)
+        if len(positions) != 6:
+            continue
+        # one strand must be uniformly over (or under) at its two passages
+        strands = []
+        for i in arcs:
+            a, b = ps[i], ps[(i + 1) % m]
+            strands.append((a.over, b.over))
+        if not any(x == y for x, y in strands):
+            continue
+        new = list(ps)
+        for i in arcs:
+            j = (i + 1) % m
+            new[i], new[j] = new[j], new[i]
+        out.append(GaussCode(tuple(new)))
+    return out
+
+
+def _greedy_reduce(code: GaussCode) -> GaussCode:
+    while True:
+        ones = reidemeister_one(code)
+        if ones:
+            code = ones[0]
+            continue
+        twos = reidemeister_two(code)
+        if twos:
+            code = twos[0]
+            continue
+        return code
+
+
+def simplify(code: GaussCode, budget=None) -> GaussCode:
+    """Shortest code reachable by R1/R2 (greedy) and budgeted R3 search.
+
+    The empty output certifies the unknot.  Deterministic: states are
+    explored in (length, canonical key) order.
+    """
+    if budget is None:
+        budget = int(os.environ.get(BUDGET_ENV, DEFAULT_BUDGET))
+    if not code.is_realizable():
+        raise DiagramError("code is not realizable as a planar diagram")
+    start = _greedy_reduce(code)
+    if not start.passages:
+        return start
+    best = start
+    best_key = (len(start.passages), start.canonical_key())
+    seen = {start.canonical_key()}
+    heap = [(len(start.passages), start.canonical_key(), 0, start)]
+    states = 0
+    tie = 0
+    while heap and states < budget:
+        _, _, _, cur = heappop(heap)
+        states += 1
+        for nxt in reidemeister_three(cur):
+            red = _greedy_reduce(nxt)
+            key = red.canonical_key()
+            if key in seen:
+                continue
+            seen.add(key)
+            if not red.passages:
+                return red
+            cand = (len(red.passages), key)
+            if cand < best_key:
+                best, best_key = red, cand
+            tie += 1
+            heappush(heap, (len(red.passages), key, tie, red))
+    return best
+
+
+def alexander_det(code: GaussCode) -> int:
+    """|Alexander polynomial at -1| (the knot determinant); unknot gives 1."""
+    ps = code.passages
+    m = len(ps)
+    if m == 0:
+        return 1
+    unders = [i for i, p in enumerate(ps) if not p.over]
+    if not unders:
+        return 1
+    c = len(unders)
+    if c == 1:
+        return 1
+    arc_from_under = {pos: k for k, pos in enumerate(unders)}
+
+    def arc_at(i):
+        """Arc index active at position i (arc k starts after unders[k])."""
+        lo = -1
+        for k, pos in enumerate(unders):
+            if pos <= i:
+                lo = k
+        return lo % c
+
+    rows = []
+    for k, pos in enumerate(unders):
+        cid = ps[pos].crossing
+        over_pos = next(i for i, p in enumerate(ps)
+                        if p.crossing == cid and p.over)
+        a_in = (k - 1) % c
+        a_out = k
+        a_over = arc_at(over_pos)
+        row = [0] * c
+        row[a_out] += 1
+        row[a_in] += 1
+        row[a_over] -= 2
+        rows.append(row)
+    # delete one row and one column, integer determinant (Bareiss)
+    mat = [row[:-1] for row in rows[:-1]]
+    return abs(_int_det(mat))
+
+
+def _int_det(mat) -> int:
+    n = len(mat)
+    if n == 0:
+        return 1
+    mat = [row[:] for row in mat]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if mat[k][k] == 0:
+            for i in range(k + 1, n):
+                if mat[i][k] != 0:
+                    mat[k], mat[i] = mat[i], mat[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
+        prev = mat[k][k]
+    return sign * mat[n - 1][n - 1]
+
+
+def connected_sum(a: GaussCode, b: GaussCode) -> GaussCode:
+    """Concatenation with disjoint crossing labels."""
+    if not a.passages:
+        return b
+    if not b.passages:
+        return a
+    offset = max(a.crossings) if a.crossings else 0
+    return GaussCode(a.passages + b.relabelled(offset).passages)
+
+
+# standard small knots, used as goldens throughout the tests
+RIGHT_TREFOIL = GaussCode.from_text("O1+,U2+,O3+,U1+,O2+,U3+")
+LEFT_TREFOIL = RIGHT_TREFOIL.mirrored()
+FIGURE_EIGHT = GaussCode.from_text("O1+,U2+,O3-,U4-,O2+,U1+,O4-,U3-")

@@ -1,0 +1,349 @@
+"""Local relations among diagrams: 4T, STU, IHX, antisymmetry.
+
+Sign conventions are frozen here once and for all:
+
+* STU resolution.  Let v be an internal vertex whose slot cyclic order is
+  (stem, h1, h2), with the stem edge ending on external vertex x.  The
+  resolution deletes v and x and replaces x by two adjacent external
+  vertices (early, late) in counterclockwise order.  Then
+
+      diagram  =  [h2 -> early, h1 -> late]  -  [h1 -> early, h2 -> late]
+
+  i.e. the "parallel" reattachment minus the "crossed" one.
+
+* 4T.  For a fixed chord with endpoints P, Q and a moving endpoint x of
+  another chord,
+
+      D(x before P) - D(x after P) + D(x before Q) - D(x after Q) = 0,
+
+  which is the alternating template obtained by resolving a tripod at two
+  different legs.  (Equivalently + - - + in the order before-P, after-P,
+  after-Q, before-Q.)
+
+* IHX.  For an internal edge e between vertices v (slots e, a, b) and w
+  (slots e, c, d), I - H + X = 0 where H rewires the legs to v'(e, d, a),
+  w'(e, b, c) and X to v'(e, c, a), w'(e, b, d).  This choice is pinned by
+  the requirement that stu_expand(I - H + X) lies in the 4T span; a golden
+  test freezes it.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from .diagrams import (
+    CCD,
+    ChordDiagram,
+    DiagramSum,
+    enumerate_chord_diagrams,
+    is_split,
+)
+from .errors import DiagramError
+
+
+# ---------------------------------------------------------------------------
+# half-edge surgery helpers
+# ---------------------------------------------------------------------------
+
+def _pairing_of(ccd: CCD):
+    """Symmetric half-edge pairing; ends are ("x", p) or ("v", i, s)."""
+    pairing = {}
+    for i, slots in enumerate(ccd.vertices):
+        for s, tgt in enumerate(slots):
+            pairing[("v", i, s)] = tgt if tgt[0] == "v" else ("x", tgt[1])
+            if tgt[0] == "x":
+                pairing[("x", tgt[1])] = ("v", i, s)
+    for a, b in ccd.chord_pairs:
+        pairing[("x", a)] = ("x", b)
+        pairing[("x", b)] = ("x", a)
+    return pairing
+
+
+def _ccd_from_pairing(ext, n_internal, pairing):
+    table = [[None] * 3 for _ in range(n_internal)]
+    chords = set()
+    for end, tgt in pairing.items():
+        if end[0] == "v":
+            table[end[1]][end[2]] = tgt
+        elif tgt[0] == "x":
+            chords.add((min(end[1], tgt[1]), max(end[1], tgt[1])))
+    return CCD.build(ext, [tuple(r) for r in table], sorted(chords))
+
+
+def _renumber_externals(pairing, posmap):
+    """Apply a position remap {old: new} to all ("x", p) ends."""
+    out = {}
+    for end, tgt in pairing.items():
+        if end[0] == "x":
+            end = ("x", posmap[end[1]])
+        if tgt[0] == "x":
+            tgt = ("x", posmap[tgt[1]])
+        out[end] = tgt
+    return out
+
+
+def _drop_vertex_renumber(pairing, removed):
+    """Renumber internal vertices after deleting `removed` (a set)."""
+    keep = {}
+    new_index = {}
+    idx = 0
+    seen = {v for v in removed}
+    all_ids = sorted({e[1] for e in pairing if e[0] == "v"} |
+                     {t[1] for t in pairing.values() if t[0] == "v"})
+    for i in all_ids:
+        if i not in seen:
+            new_index[i] = idx
+            idx += 1
+
+    def remap(end):
+        if end[0] == "v":
+            return ("v", new_index[end[1]], end[2])
+        return end
+
+    for end, tgt in pairing.items():
+        if end[0] == "v" and end[1] in seen:
+            continue
+        t = tgt
+        if t[0] == "v" and t[1] in seen:
+            raise DiagramError("dangling reference to removed vertex")
+        keep[remap(end)] = remap(t)
+    return keep, idx
+
+
+# ---------------------------------------------------------------------------
+# STU
+# ---------------------------------------------------------------------------
+
+def stu_resolutions(ccd: CCD, p: int):
+    """Resolve the internal vertex attached to external vertex p.
+
+    Returns (parallel, crossed); the diagram equals parallel - crossed.
+    """
+    tgt = ccd.external_target(p)
+    if tgt[0] != "v":
+        raise DiagramError("external vertex is on a chord, nothing to resolve")
+    _, v, stem = tgt
+    h1 = ccd.vertices[v][(stem + 1) % 3]
+    h2 = ccd.vertices[v][(stem + 2) % 3]
+    E = ccd.ext
+    # new external positions: p -> (p, p+1), later points shift by one
+    posmap = {q: (q if q < p else q + 1) for q in range(E)}
+    early, late = p, p + 1
+
+    def reattach(first, second):
+        # first : far end of h2-edge -> early ; second : h1-edge -> late
+        pairing = _pairing_of(ccd)
+        far1 = pairing[("v", v, (stem + 2) % 3)]
+        far2 = pairing[("v", v, (stem + 1) % 3)]
+        for end in [("v", v, 0), ("v", v, 1), ("v", v, 2), ("x", p)]:
+            pairing.pop(end, None)
+        # handle the self-loop at v: both far ends are v itself
+        if far1[0] == "v" and far1[1] == v and far2[0] == "v" and far2[1] == v:
+            far1, far2 = ("x", p), None  # loop becomes a chord early-late
+        pairing = {e: t for e, t in pairing.items()
+                   if not (e[0] == "v" and e[1] == v)
+                   and not (t[0] == "v" and t[1] == v)}
+        pairing = _renumber_externals(pairing, posmap)
+        if far2 is None:
+            pairing[("x", first)] = ("x", second)
+            pairing[("x", second)] = ("x", first)
+        else:
+            for far, newpos in ((far1, first), (far2, second)):
+                far = (far if far[0] == "v" else ("x", posmap[far[1]]))
+                pairing[far] = ("x", newpos)
+                pairing[("x", newpos)] = far
+        pairing, n_int = _drop_vertex_renumber(pairing, {v})
+        return _ccd_from_pairing(E + 1, n_int, pairing)
+
+    parallel = reattach(early, late)
+    crossed = reattach(late, early)
+    return parallel, crossed
+
+
+_STU_MEMO = {}
+
+
+def stu_expand(c: CCD) -> DiagramSum:
+    """Chord-diagram representative of c, resolving internal vertices by STU.
+
+    Deterministic: the canonical form is taken first and the internal
+    vertex adjacent to the lowest-numbered external vertex is resolved at
+    each step.  Well defined modulo 4T.
+    """
+    canon, sign, null = c.canonical()
+    if null:
+        return DiagramSum()
+    key = (canon.ext, canon.vertices, canon.chord_pairs)
+    got = _STU_MEMO.get(key)
+    if got is None:
+        got = _stu_expand_canonical(canon)
+        _STU_MEMO[key] = got
+    return got.scaled(sign)
+
+
+def _stu_expand_canonical(canon: CCD) -> DiagramSum:
+    if canon.is_chord_diagram():
+        return DiagramSum([(canon.to_chord_diagram(), 1)])
+    p = _lowest_resolvable(canon)
+    parallel, crossed = stu_resolutions(canon, p)
+    return stu_expand(parallel) - stu_expand(crossed)
+
+
+def _lowest_resolvable(ccd: CCD) -> int:
+    for p in range(ccd.ext):
+        if ccd.external_target(p)[0] == "v":
+            return p
+    raise DiagramError("no internal vertex adjacent to the circle")
+
+
+def stu_expand_with_order(c: CCD, chooser) -> DiagramSum:
+    """Expansion with an arbitrary resolution order (for well-definedness
+    tests); `chooser(ccd, candidates)` picks an external vertex."""
+    if c.is_chord_diagram():
+        return DiagramSum([(c.to_chord_diagram(), 1)])
+    candidates = [p for p in range(c.ext) if c.external_target(p)[0] == "v"]
+    p = chooser(c, candidates)
+    parallel, crossed = stu_resolutions(c, p)
+    return (stu_expand_with_order(parallel, chooser)
+            - stu_expand_with_order(crossed, chooser))
+
+
+# ---------------------------------------------------------------------------
+# 4T
+# ---------------------------------------------------------------------------
+
+def _insert(word, pos, label):
+    return word[:pos] + (label,) + word[pos:]
+
+
+def four_t_relations(n: int):
+    """All 4T relation vectors over the order-n basis (deduplicated).
+
+    Generated exhaustively: for every canonical diagram, every ordered
+    pair (fixed chord, moving chord) and every choice of moving endpoint.
+    """
+    if n < 2:
+        raise DiagramError("4T relations need order >= 2")
+    rels = {}
+    for d in sorted(enumerate_chord_diagrams(n), key=lambda x: x.word):
+        word = d.word
+        labels = sorted(set(word))
+        for moving in labels:
+            positions = [i for i, w in enumerate(word) if w == moving]
+            for x in positions:
+                reduced = word[:x] + word[x + 1:]
+                for fixed in labels:
+                    if fixed == moving:
+                        continue
+                    p, q = (i for i, w in enumerate(reduced) if w == fixed)
+                    combo = DiagramSum()
+                    for pos, sgn in ((p, 1), (p + 1, -1), (q, 1), (q + 1, -1)):
+                        combo.add(
+                            ChordDiagram.from_word(_insert(reduced, pos, moving)),
+                            sgn)
+                    if combo.is_zero():
+                        continue
+                    key = _relation_key(combo)
+                    rels.setdefault(key, combo)
+    return [rels[k] for k in sorted(rels)]
+
+
+def _relation_key(combo: DiagramSum):
+    items = combo.items_sorted()
+    lead = items[0][1]
+    norm = [(d.word, c / lead) for d, c in items]
+    return tuple((w, q.numerator, q.denominator) for w, q in norm)
+
+
+# ---------------------------------------------------------------------------
+# IHX
+# ---------------------------------------------------------------------------
+
+def _rewire(ccd: CCD, v, w, v_legs, w_legs):
+    """Rebuild with v joined to v_legs and w to w_legs (cyclic (edge, *, *)).
+
+    Legs are given as the original slot references ("v", vertex, slot) of
+    the four non-edge half-edges at v and w.
+    """
+    pairing = _pairing_of(ccd)
+    far = {leg: pairing[leg] for leg in v_legs + w_legs}
+    legs = set(v_legs + w_legs)
+    new_slot = {}
+    for k, leg in enumerate(v_legs):
+        new_slot[leg] = ("v", v, k + 1)
+    for k, leg in enumerate(w_legs):
+        new_slot[leg] = ("v", w, k + 1)
+    for end in list(pairing):
+        if end[0] == "v" and end[1] in (v, w):
+            pairing.pop(end, None)
+    pairing[("v", v, 0)] = ("v", w, 0)
+    pairing[("v", w, 0)] = ("v", v, 0)
+    for leg in legs:
+        f = far[leg]
+        mine = new_slot[leg]
+        if f in legs:
+            pairing[mine] = new_slot[f]
+        else:
+            pairing[mine] = f
+            pairing[f] = mine
+    n_int = len(ccd.vertices)
+    return _ccd_from_pairing(ccd.ext, n_int, pairing)
+
+
+def ihx_relation(c: CCD, edge) -> DiagramSum:
+    """I - H + X for the internal-internal edge given as a slot ref (i, s)."""
+    i, s = edge
+    tgt = c.vertices[i][s]
+    if tgt[0] != "v":
+        raise DiagramError("edge must join two internal vertices")
+    j, t = tgt[1], tgt[2]
+    if j == i:
+        raise DiagramError("IHX needs two distinct endpoints")
+    a = ("v", i, (s + 1) % 3)
+    b = ("v", i, (s + 2) % 3)
+    cc = ("v", j, (t + 1) % 3)
+    d = ("v", j, (t + 2) % 3)
+    ident = _rewire(c, i, j, (a, b), (cc, d))
+    h = _rewire(c, i, j, (d, a), (b, cc))
+    x = _rewire(c, i, j, (cc, a), (b, d))
+    out = DiagramSum()
+    out.add(ident, 1)
+    out.add(h, -1)
+    out.add(x, 1)
+    return out
+
+
+def ihx_pieces(c: CCD, edge):
+    """(I, H, X) as raw CCDs, same convention as ihx_relation."""
+    i, s = edge
+    tgt = c.vertices[i][s]
+    if tgt[0] != "v":
+        raise DiagramError("edge must join two internal vertices")
+    j, t = tgt[1], tgt[2]
+    a = ("v", i, (s + 1) % 3)
+    b = ("v", i, (s + 2) % 3)
+    cc = ("v", j, (t + 1) % 3)
+    d = ("v", j, (t + 2) % 3)
+    ident = _rewire(c, i, j, (a, b), (cc, d))
+    h = _rewire(c, i, j, (d, a), (b, cc))
+    x = _rewire(c, i, j, (cc, a), (b, d))
+    return ident, h, x
+
+
+# ---------------------------------------------------------------------------
+# split diagrams
+# ---------------------------------------------------------------------------
+
+def split_diagram_span(n: int):
+    """All canonical split chord diagrams of order n."""
+    return sorted((d for d in enumerate_chord_diagrams(n) if is_split(d)),
+                  key=lambda d: d.word)
+
+
+def dump_relations(fp, relations):
+    """Write DiagramSums as JSON lines: {order, terms: [{diagram, num, den}]}."""
+    import json
+
+    for rel in relations:
+        fp.write(json.dumps(rel.to_jsonable(), sort_keys=True))
+        fp.write("\n")

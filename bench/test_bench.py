@@ -1,8 +1,9 @@
 """Tests of the benchmark itself:  python3 -m pytest -q bench
 
 They check that a bad output is counted rather than fatal, that count
-metrics repeat exactly between two traced runs, and that the metric
-names the harness prints are the ones `BENCHMARK.json` declares.
+metrics repeat exactly between two traced runs, that timings are scaled
+by the pinned copy as documented, and that the metric names the harness
+prints are the ones `BENCHMARK.json` declares.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -71,6 +73,29 @@ def test_raised_exception_is_a_counted_failure():
     assert [ok for _, _, ok in rows] == [False, True]
 
 
+def test_item_time_leaves_out_lockstep_waits():
+    tr = Tracer(False, "t")
+
+    def pause(message):
+        t = time.perf_counter()
+        time.sleep(0.2)
+        tr.paused += time.perf_counter() - t
+
+    def item():
+        tr.step()
+        return 1
+
+    tr.pause = pause
+    rows, failures = workloads.run_items([("x", item)], tr, {"x": 1})
+    assert failures == [] and rows[0][1] < 100
+
+
+def test_setup_only_pair_reports_both_sides():
+    reports = run.run_pair("knot_sums", 1, list(run.IMPLS), steps=False)
+    assert set(reports) == set(run.IMPLS)
+    assert all(r["setup_s"] > 0 for r in reports.values())
+
+
 def test_self_time_excludes_child_spans():
     tr = Tracer(True, "t")
     with tr.item("x"):
@@ -91,6 +116,28 @@ def test_tail_percentile_leaves_ten_items_beyond():
         assert sum(v > run.percentile(values, p) for v in values) >= 10
         assert sum(v > run.percentile(values, p + 1) for v in values) < 10
     assert run.percentile(list(range(18)), run.tail_percentile(18)) == 17
+
+
+def test_timings_are_scaled_by_the_pinned_copy():
+    def report(wall, setup, ms):
+        return {"wall_s": wall, "setup_s": setup, "peak_rss_mb": 10.0,
+                "items": [[str(i), ms, True] for i in range(20)]}
+
+    rounds = [{"src": report(3.0, 0.3, 10.0), "pinned": report(4.0, 0.2, 8.0)}]
+    setups = [{"src": {"setup_s": 0.3}, "pinned": {"setup_s": 0.2}}]
+    reference = {"wall_s": 2.0, "setup_s": 0.1,
+                 "item_p50_ms": 4.0, "item_tail_ms": 6.0}
+    values, raw, _ = run.end_to_end(rounds, setups, reference)
+    assert values == pytest.approx({
+        "wall_s": 1.5, "setup_s": 0.15, "item_p50_ms": 5.0,
+        "item_tail_ms": 7.5, "peak_rss_mb": 10.0})
+    assert raw["pinned"]["wall_s"] == 4.0 and raw["src"]["item_p50_ms"] == 10.0
+
+
+def test_reference_covers_every_workload():
+    reference = json.loads(run.REFERENCE.read_text())["workloads"]
+    assert list(reference) == list(workloads.BUILDERS)
+    assert all(set(v) == set(run.REFERENCED) for v in reference.values())
 
 
 def test_declared_metrics_match_the_harness():

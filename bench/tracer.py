@@ -4,6 +4,10 @@ A span is opened around every call the benchmark makes into a public
 function of a `vassiliev` module.  Work a layer does inside another
 layer's call is not seen here, so it counts toward the outer span's self
 time.  With tracing off, `call` is a plain call and `count` does nothing.
+
+The tracer also marks where a pass may be paused: `step` ends a step of
+the work.  In a lockstep pass (see `bench/workloads.py`) it hands over to
+the other process of the pair and waits; the wait is summed in `paused`.
 """
 
 from __future__ import annotations
@@ -24,6 +28,13 @@ class Tracer:
         self.counts = {}
         self._stack = []
         self._item = None
+        self.pause = None      # lockstep hand-over, set by the pass
+        self.paused = 0.0      # time it waited, summed by the hand-over
+
+    def step(self):
+        """End a step of the work; in a lockstep pass, wait for the turn."""
+        if self.pause is not None:
+            self.pause({"step": True})
 
     def call(self, name, fn, *args, **kwargs):
         """Call `fn`, recording a span called `name` when tracing is on."""

@@ -1,12 +1,17 @@
 """One pass of one benchmark workload, in a fresh interpreter.
 
-    python3 bench/workloads.py --workload NAME --seed N --trace 0|1 --t0 T
+    python3 bench/workloads.py --workload NAME --seed N --trace 0|1 \
+        --impl src|pinned --t0 T [--lockstep]
 
 `bench/run.py` starts this file once per pass, so every pass begins with
-cold module memos and `lru_cache`s, as a command-line user does.  `--t0`
+cold module memos and `lru_cache`s, as a command-line user does.
+`--impl src` loads the package under test from `src`; `--impl pinned`
+loads the frozen copy in `bench/pinned`, the speed reference.  `--t0`
 is the CLOCK_MONOTONIC reading taken just before the process was
 started; set-up time runs from it to the moment the seeded inputs are
-built.  The pass prints one JSON object on its last stdout line.
+built.  The pass prints one JSON object on its last stdout line.  With
+`--lockstep` it first prints its set-up time, then pauses at the end of
+every step (see `Lockstep`) and goes on when a line arrives on stdin.
 
 Every item returns its exact outputs as JSON-ready data, which is
 compared with `goldens.json`.  A mismatch or an exception, including
@@ -20,8 +25,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import resource
+import signal
 import sys
 import time
 from itertools import permutations
@@ -30,7 +37,8 @@ from pathlib import Path
 from tracer import Tracer, clock
 
 HERE = Path(__file__).resolve().parent
-SRC = HERE.parent / "src"
+# where each implementation's `vassiliev` package lives
+IMPLS = {"src": HERE.parent / "src", "pinned": HERE / "pinned"}
 GOLDENS = HERE / "goldens.json"
 
 # knot factor pool: name -> (sigma, mirrored first clasp) for ribbon
@@ -46,20 +54,22 @@ SUM_GROUPS = (("RT", "LT"), ("F8",), ("r12", "r12i"), ("r123", "r123i"),
               ("r132", "r132i"))
 SUM_COPIES = 2
 SWITCH_KNOTS = 12
+SLICE_S = 0.005        # CPU time a lockstep pass runs before handing over
 BOUND_N_MAX = 30
 BRUTE_N = 8
 
 
-def load_vassiliev():
-    """Import the package from this checkout's `src`, never from elsewhere."""
-    sys.path.insert(0, str(SRC))
+def load_vassiliev(impl="src"):
+    """Import the package from `IMPLS[impl]`, never from elsewhere."""
+    src = IMPLS[impl]
+    sys.path.insert(0, str(src))
     try:
         import vassiliev
     except ImportError as exc:
-        raise SystemExit(f"bench: cannot import vassiliev from {SRC}: {exc}")
-    if Path(vassiliev.__file__).resolve().parent != SRC / "vassiliev":
+        raise SystemExit(f"bench: cannot import vassiliev from {src}: {exc}")
+    if Path(vassiliev.__file__).resolve().parent != src / "vassiliev":
         raise SystemExit(f"bench: vassiliev imported from {vassiliev.__file__},"
-                         f" not from {SRC}")
+                         f" not from {src}")
     import vassiliev.bounds
     import vassiliev.cli
     import vassiliev.diagrams
@@ -150,7 +160,7 @@ def chord_dims(seed, tr):
     The table is one item because order 6 is nine tenths of it: as
     separate items, the median item would be the half-second order-5
     pipeline, which machine noise moves by a fifth from run to run.
-    The seed is ignored.
+    The seed is not used here; it only sets the hash seed of the pass.
     """
     argv = ["--no-header", "dims", "--n", "5"]
     return [("dims:2-6", lambda: {n: dims_order(n, tr) for n in range(2, 7)}),
@@ -346,10 +356,10 @@ def switch_plan(pool):
 def knot_switches(seed, tr, plan=None):
     """Distinct knots: ribbon members with 1-3 crossings switched.
 
-    The seed is ignored.  Relabelling the crossings by seed changed the
-    work done, because the Conway-skein memo key takes its minimal
-    rotation before it relabels, so equal sub-links under other labels
-    miss the memo.
+    The seed is not used here; it only sets the hash seed of the pass.
+    Relabelling the crossings by seed changed the work done, because the
+    Conway-skein memo key takes its minimal rotation before it relabels,
+    so equal sub-links under other labels miss the memo.
     """
     from vassiliev.gausscodes import simplify
     from vassiliev.ribbon import all_switchings_trivial
@@ -391,11 +401,23 @@ BUILDERS = {"chord_dims": chord_dims, "ngon_reduction": ngon_reduction,
 # one pass
 # ---------------------------------------------------------------------------
 
+def busy_clock(tr):
+    """`clock()` less the lockstep waits so far.  SIGPROF is held off
+    while it reads, so a hand-over cannot fall between the two reads."""
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGPROF})
+    try:
+        return clock() - tr.paused
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
 def run_items(items, tr, goldens):
-    """Run items in order; returns [id, ms, ok] rows and failure reasons."""
+    """Run items in order; returns [id, ms, ok] rows and failure reasons.
+
+    An item's time leaves out lockstep waits; each item ends a step."""
     rows, failures = [], []
     for item_id, fn in items:
-        t = clock()
+        t = busy_clock(tr)
         with tr.item(item_id):
             try:
                 got = normalize(fn())
@@ -403,9 +425,10 @@ def run_items(items, tr, goldens):
                 got, reason = None, f"{type(exc).__name__}: {exc}"
             else:
                 reason = None if got == goldens.get(item_id) else "mismatch"
-        rows.append([item_id, (clock() - t) * 1e3, reason is None])
+        rows.append([item_id, (busy_clock(tr) - t) * 1e3, reason is None])
         if reason is not None:
             failures.append([item_id, reason])
+        tr.step()
     return rows, failures
 
 
@@ -422,17 +445,54 @@ def derived_counts(counts):
     return out
 
 
-def run_pass(workload, seed, trace, t0):
-    load_vassiliev()
+class Lockstep:
+    """The child's side of a lockstep pair (see `bench/run.py`).
+
+    At the end of every item, and every SLICE_S seconds of CPU time
+    within one, the pass reports on stdout and waits for a line on stdin:
+    the other pass of the pair runs meanwhile.  Raw file descriptors are
+    used because a slice can end while the item has stdout redirected.
+    A closed stdin ends the pass; that is how a set-up-only pass stops.
+    """
+
+    def __init__(self, tr):
+        self.tr = tr
+        self.busy = False
+        tr.pause = self.hand_over
+        signal.signal(signal.SIGPROF, lambda signum, frame: (
+            None if self.busy else tr.step()))
+
+    def hand_over(self, message):
+        self.busy = True
+        t = clock()
+        os.write(1, (json.dumps(message) + "\n").encode())
+        if not os.read(0, 1):
+            sys.exit(0)
+        self.tr.paused += clock() - t
+        self.busy = False
+
+    @staticmethod
+    def slices(on):
+        signal.setitimer(signal.ITIMER_PROF, SLICE_S if on else 0, SLICE_S)
+
+
+def run_pass(workload, seed, trace, t0, impl="src", lockstep=False):
+    load_vassiliev(impl)
     goldens = json.loads(GOLDENS.read_text())[workload]
     tr = Tracer(trace, workload)
     items = BUILDERS[workload](seed, tr)
-    t_ready = time.monotonic()
-    start = clock()
+    setup = time.monotonic() - t0
+    if lockstep:
+        lock = Lockstep(tr)
+        lock.hand_over({"setup_s": setup})
+        lock.slices(True)
+    start = busy_clock(tr)
     rows, failures = run_items(items, tr, goldens)
-    wall = clock() - start
+    wall = busy_clock(tr) - start
+    if lockstep:
+        lock.slices(False)
     out = {
-        "setup_s": t_ready - t0,
+        "setup_s": setup,
         "wall_s": wall,
         "items": rows,
         "failures": failures,
@@ -451,10 +511,14 @@ def main(argv=None):
     ap.add_argument("--workload", choices=BUILDERS, required=True)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    ap.add_argument("--impl", choices=IMPLS, default="src")
     ap.add_argument("--t0", type=float, default=None)
+    ap.add_argument("--lockstep", action="store_true",
+                    help="pause at every step until a line arrives on stdin")
     args = ap.parse_args(argv)
     t0 = time.monotonic() if args.t0 is None else args.t0
-    print(json.dumps(run_pass(args.workload, args.seed, bool(args.trace), t0)))
+    print(json.dumps(run_pass(args.workload, args.seed, bool(args.trace), t0,
+                              args.impl, args.lockstep)))
     return 0
 
 
