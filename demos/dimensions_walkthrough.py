@@ -8,22 +8,17 @@ exact-rational linear algebra: no floats, no tolerance.
 Run:  python3 demos/dimensions_walkthrough.py
 """
 
-from vassiliev.diagrams import DiagramSum, enumerate_chord_diagrams
-from vassiliev.linalg import RelationSpan
-from vassiliev.relations import four_t_relations, split_diagram_span
+from vassiliev.diagrams import ChordDiagram, enumerate_chord_diagrams
+from vassiliev.relations import quotient_spans
 
 print("order | #diagrams | rank 4T | dim mod 4T | +split | primitive dim")
 print("-" * 66)
 for n in range(2, 6):
     diagrams = enumerate_chord_diagrams(n)
-    rels = four_t_relations(n)
-    span = RelationSpan.over_order(n, rels)
-    dim_4t = span.quotient_dim()
-    rank_4t = span.rank
-    for d in split_diagram_span(n):
-        span.add(DiagramSum([(d, 1)]))
-    print(f"{n:>5} | {len(diagrams):>9} | {rank_4t:>7} | {dim_4t:>10} |"
-          f" {span.rank:>6} | {span.quotient_dim():>13}")
+    four_t, primitive = quotient_spans(n)
+    print(f"{n:>5} | {len(diagrams):>9} | {four_t.rank:>7} |"
+          f" {four_t.quotient_dim():>10} | {primitive.rank:>6} |"
+          f" {primitive.quotient_dim():>13}")
 
 print()
 print("The primitive dimensions 1, 2, 3 at orders 3, 4, 5 are exact;")
@@ -31,12 +26,7 @@ print("the counting bound from the n-gon machinery gives 1, 2, 4 there.")
 
 print()
 print("Weight systems: the annihilator of the relations.")
-n = 3
-span = RelationSpan.over_order(n, four_t_relations(n))
-for d in split_diagram_span(n):
-    span.add(DiagramSum([(d, 1)]))
-(w,) = span.dual_basis()
-from vassiliev.diagrams import ChordDiagram
+(w,) = quotient_spans(3)[1].dual_basis()
 w = w.normalized_at(ChordDiagram.from_text("123123"))
 print(f"order-3 primitive functional, normalised at 123123:")
 for d in sorted(enumerate_chord_diagrams(3), key=lambda x: x.word):

@@ -9,10 +9,6 @@ result by exact span membership.
 Run:  python3 demos/ngon_reduction_walkthrough.py
 """
 
-from itertools import permutations
-
-from vassiliev.diagrams import DiagramSum
-from vassiliev.linalg import RelationSpan
 from vassiliev.ngons import (
     complete_ngon,
     ngon_representatives,
@@ -20,7 +16,7 @@ from vassiliev.ngons import (
     reduce_tree_to_ngons,
     _ngon_class_table,
 )
-from vassiliev.relations import four_t_relations, split_diagram_span, stu_expand
+from vassiliev.relations import quotient_spans, stu_expand
 
 n = 4
 sigma = (2, 4, 1, 3)
@@ -42,9 +38,7 @@ for d, c in combo.items_sorted():
 
 print("\ncertifying: expanded tree minus expanded combination lies in the")
 print("span of the 4T relations and split diagrams ...")
-span = RelationSpan.over_order(n, four_t_relations(n))
-for d in split_diagram_span(n):
-    span.add(DiagramSum([(d, 1)]))
+span = quotient_spans(n)[1].copy()
 target = stu_expand(one_branch_tree(sigma))
 for g, c in combo.terms.items():
     target = target - stu_expand(g).scaled(c)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import factorial, gcd
+from math import factorial
 
 from .errors import ConsistencyError, ResourceGuardError
 

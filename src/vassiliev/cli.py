@@ -11,7 +11,8 @@ Subcommands:
   selftest                            compressed property run
 
 Output is deterministic; data lines never carry timestamps.  Exit status:
-0 success, 1 verification failure, 2 usage error.
+0 success, 1 verification failure, 2 usage error or bad input (one line
+on stderr).
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__
+from .errors import DiagramError, ResourceGuardError
 
 
 def _print_header(args):
@@ -33,23 +34,20 @@ def _parse_sigma(text):
     try:
         return tuple(int(v) for v in text.split(","))
     except ValueError:
+        print(f"vassiliev: error: --sigma {text!r} is not a comma-separated"
+              " list of integers", file=sys.stderr)
         raise SystemExit(2)
 
 
 def cmd_dims(args):
-    from .diagrams import DiagramSum
-    from .linalg import RelationSpan
-    from .relations import four_t_relations, split_diagram_span
+    from .relations import quotient_spans
 
     n = args.n
     if not 2 <= n <= 6:
         print("dims supports 2 <= n <= 6", file=sys.stderr)
         return 2
     _print_header(args)
-    span4 = RelationSpan.over_order(n, four_t_relations(n))
-    full = RelationSpan.over_order(n, four_t_relations(n))
-    for d in split_diagram_span(n):
-        full.add(DiagramSum([(d, 1)]))
+    span4, full = quotient_spans(n)
     print(json.dumps({
         "n": n,
         "basis": len(span4.basis),
@@ -93,7 +91,7 @@ def cmd_bounds(args):
 
 
 def cmd_reduce(args):
-    from .ngons import reduce_tree_to_ngons, ngon_representatives
+    from .ngons import reduce_tree_to_ngons
 
     sigma = _parse_sigma(args.sigma)
     trace = []
@@ -109,15 +107,10 @@ def cmd_reduce(args):
     print(json.dumps({"sigma": list(sigma), "ngon_combination": terms}))
     print(json.dumps(trace))
     if args.verify:
-        from .diagrams import DiagramSum
-        from .linalg import RelationSpan
-        from .relations import four_t_relations, split_diagram_span, stu_expand
+        from .relations import quotient_spans, stu_expand
         from .ngons import one_branch_tree
 
-        n = len(sigma)
-        span = RelationSpan.over_order(n, four_t_relations(n))
-        for d in split_diagram_span(n):
-            span.add(DiagramSum([(d, 1)]))
+        _, span = quotient_spans(len(sigma))
         target = stu_expand(one_branch_tree(sigma))
         for g, c in combo.terms.items():
             target = target - stu_expand(g).scaled(c)
@@ -130,8 +123,9 @@ def cmd_reduce(args):
 def cmd_ngons(args):
     from .ngons import ngon_representatives
 
+    reps = ngon_representatives(args.n)
     _print_header(args)
-    for rep in ngon_representatives(args.n):
+    for rep in reps:
         print(",".join(str(v) for v in rep))
     return 0
 
@@ -186,9 +180,7 @@ def cmd_ohyama(args):
 
 def cmd_selftest(args):
     from .bounds import brute_force_xtilde, primitive_bound
-    from .diagrams import DiagramSum
-    from .linalg import RelationSpan
-    from .relations import four_t_relations, split_diagram_span, stu_expand
+    from .relations import quotient_spans, stu_expand
     from .ngons import complete_ngon, ngon_representatives
     from .ribbon import all_switchings_trivial, ribbon_gauss_code, verify_ohyama_identity
 
@@ -203,16 +195,9 @@ def cmd_selftest(args):
     report("bound sequence 3..7",
            [primitive_bound(n) for n in range(3, 8)] == [1, 2, 4, 14, 54])
     report("brute force agrees at n=6", brute_force_xtilde(6) == 14)
-    dims = []
-    for n in (3, 4):
-        span = RelationSpan.over_order(n, four_t_relations(n))
-        for d in split_diagram_span(n):
-            span.add(DiagramSum([(d, 1)]))
-        dims.append(span.quotient_dim())
+    dims = [quotient_spans(n)[1].quotient_dim() for n in (3, 4)]
     report("primitive dimensions (3,4) = (1,2)", dims == [1, 2])
-    span = RelationSpan.over_order(3, four_t_relations(3))
-    for d in split_diagram_span(3):
-        span.add(DiagramSum([(d, 1)]))
+    span = quotient_spans(3)[1].copy()
     for rep in ngon_representatives(3):
         span.add(stu_expand(complete_ngon(rep)))
     report("n-gons span order 3", span.rank == len(span.basis))
@@ -273,6 +258,9 @@ def main(argv=None):
         return args.func(args)
     except BrokenPipeError:
         return 0
+    except (DiagramError, ResourceGuardError) as exc:
+        print(f"vassiliev: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 
 from .errors import DiagramError, ResourceGuardError
 
@@ -180,27 +179,29 @@ def is_split(d: ChordDiagram) -> bool:
     """
     if d.n == 1:
         return True
-    size = 2 * d.n
-    ch = d.chords()
-    for i in range(size):
-        for j in range(i + 1, size):
-            # arc = positions i..j-1, complement = j..i-1 (cyclically)
-            def inside(p):
-                return i <= p < j
+    return _arc_separates(d.word)
 
-            ok = True
-            arc_used = False
-            comp_used = False
-            for a, b in ch:
-                ia, ib = inside(a), inside(b)
-                if ia != ib:
-                    ok = False
-                    break
-                if ia:
-                    arc_used = True
-                else:
-                    comp_used = True
-            if ok and arc_used and comp_used:
+
+def _arc_separates(owner) -> bool:
+    """Does some arc of the circle, short of the whole, hold only whole
+    components?  `owner[p]` names the component at circle position p.
+
+    Each arc i..j is grown one position at a time while counting the
+    components it has entered but not yet swallowed.
+    """
+    size = len(owner)
+    total = {}
+    for c in owner:
+        total[c] = total.get(c, 0) + 1
+    for i in range(size):
+        seen = {}
+        partial = 0
+        for j in range(i, size - 1):
+            c = owner[j]
+            k = seen.get(c, 0) + 1
+            seen[c] = k
+            partial += (k == 1) - (k == total[c])
+            if not partial:
                 return True
     return False
 
@@ -532,53 +533,30 @@ def is_connected_ccd(c: CCD) -> bool:
     graph together with the external vertices it touches.
     """
     E = c.ext
-    comps = []
+    owner = [None] * E
     for a, b in c.chord_pairs:
-        comps.append({a, b})
-    I = len(c.vertices)
-    if I:
-        parent = list(range(I))
+        owner[a] = owner[b] = ("chord", a)
+    parent = list(range(len(c.vertices)))
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-        for i, slots in enumerate(c.vertices):
-            for tgt in slots:
-                if tgt[0] == "v":
-                    a, b = find(i), find(tgt[1])
-                    if a != b:
-                        parent[a] = b
-        attach = {}
-        for i, slots in enumerate(c.vertices):
-            root = find(i)
-            for tgt in slots:
-                if tgt[0] == "x":
-                    attach.setdefault(root, set()).add(tgt[1])
-        comps.extend(attach.values())
-    if E == 1 or len(comps) <= 1:
+    for i, slots in enumerate(c.vertices):
+        for tgt in slots:
+            if tgt[0] == "v":
+                a, b = find(i), find(tgt[1])
+                if a != b:
+                    parent[a] = b
+    for i, slots in enumerate(c.vertices):
+        for tgt in slots:
+            if tgt[0] == "x":
+                owner[tgt[1]] = ("tree", find(i))
+    if E == 1 or len(set(owner)) <= 1:
         return True
-    for i in range(E):
-        for j in range(i + 1, E):
-            def inside(p):
-                return i <= p < j
-
-            ok = True
-            arc_used = comp_used = False
-            for comp in comps:
-                flags = {inside(p) for p in comp}
-                if len(flags) > 1:
-                    ok = False
-                    break
-                if flags.pop():
-                    arc_used = True
-                else:
-                    comp_used = True
-            if ok and arc_used and comp_used:
-                return False
-    return True
+    return not _arc_separates(owner)
 
 
 # ---------------------------------------------------------------------------

@@ -130,50 +130,11 @@ class GaussCode:
 
     # -- planarity ---------------------------------------------------------
 
-    def _rotation_faces(self):
-        """Face count of the rotation system induced by signs."""
-        ps = self.passages
-        m = len(ps)
-        if m == 0:
-            return 2, 0, 0
-        # ends: (crossing, kind) kind in {o_in, o_out, u_in, u_out}
-        # ccw orders: + : o_out, u_out, o_in, u_in ; - : o_out, u_in, o_in, u_out
-        rot = {}
-        for cid in {p.crossing for p in ps}:
-            sign = self.sign_of(cid)
-            if sign > 0:
-                order = [(cid, "o_out"), (cid, "u_out"), (cid, "o_in"), (cid, "u_in")]
-            else:
-                order = [(cid, "o_out"), (cid, "u_in"), (cid, "o_in"), (cid, "u_out")]
-            for i, d in enumerate(order):
-                rot[d] = order[(i + 1) % 4]
-        # edge involution: consecutive passages give an edge out -> in
-        alpha = {}
-        for i, p in enumerate(ps):
-            q = ps[(i + 1) % m]
-            a = (p.crossing, "o_out" if p.over else "u_out")
-            b = (q.crossing, "o_in" if q.over else "u_in")
-            alpha[a] = b
-            alpha[b] = a
-        faces = 0
-        seen = set()
-        for start in rot:
-            if start in seen:
-                continue
-            faces += 1
-            d = start
-            while True:
-                seen.add(d)
-                d = rot[alpha[d]]
-                if d == start:
-                    break
-        V = len({p.crossing for p in ps})
-        E = m
-        return faces, V, E
-
     def genus(self) -> int:
-        F, V, E = self._rotation_faces()
-        euler = V - E + F
+        if not self.passages:  # a crossingless circle has no rotation system
+            return 0
+        V = len({p.crossing for p in self.passages})
+        euler = V - len(self.passages) + len(_faces(self))
         if euler % 2:
             raise DiagramError("rotation system produced an odd Euler number")
         return (2 - euler) // 2
@@ -229,48 +190,49 @@ def reidemeister_two(code: GaussCode):
     return out
 
 
-def _triangle_faces(code: GaussCode):
-    """Triangular faces as triples of code arc positions."""
+def _faces(code: GaussCode):
+    """Faces of the rotation system induced by the crossing signs.
+
+    Each face is the list of code arcs along its boundary; arc i runs from
+    passage i to passage i+1.  Edge ends are (crossing, kind), kind in
+    {o_in, o_out, u_in, u_out}, in counterclockwise order
+    + : o_out, u_out, o_in, u_in ;  - : o_out, u_in, o_in, u_out.
+    """
     ps = code.passages
     m = len(ps)
-    if m == 0:
-        return []
+    signs = {p.crossing: p.sign for p in ps}
     rot = {}
-    for cid in {p.crossing for p in ps}:
-        sign = code.sign_of(cid)
+    for cid, sign in signs.items():
         if sign > 0:
             order = [(cid, "o_out"), (cid, "u_out"), (cid, "o_in"), (cid, "u_in")]
         else:
             order = [(cid, "o_out"), (cid, "u_in"), (cid, "o_in"), (cid, "u_out")]
         for i, d in enumerate(order):
             rot[d] = order[(i + 1) % 4]
+    # edge involution: consecutive passages give an edge out -> in, which
+    # is code arc i; each end maps to (other end, i)
     alpha = {}
-    arc_of = {}
     for i, p in enumerate(ps):
         q = ps[(i + 1) % m]
         a = (p.crossing, "o_out" if p.over else "u_out")
         b = (q.crossing, "o_in" if q.over else "u_in")
-        alpha[a] = b
-        alpha[b] = a
-        arc_of[a] = i
-        arc_of[b] = i
+        alpha[a] = (b, i)
+        alpha[b] = (a, i)
     faces = []
     seen = set()
     for start in rot:
         if start in seen:
             continue
-        trail = []
+        arcs = []
         d = start
         while True:
             seen.add(d)
-            trail.append(d)
-            d = rot[alpha[d]]
+            d, arc = alpha[d]
+            arcs.append(arc)
+            d = rot[d]
             if d == start:
                 break
-        if len(trail) == 3:
-            arcs = {arc_of[alpha[d]] for d in trail}
-            if len(arcs) == 3:
-                faces.append(tuple(sorted(arcs)))
+        faces.append(arcs)
     return faces
 
 
@@ -279,7 +241,10 @@ def reidemeister_three(code: GaussCode):
     ps = code.passages
     m = len(ps)
     out = []
-    for arcs in _triangle_faces(code):
+    for arcs in _faces(code):
+        if len(arcs) != 3 or len(set(arcs)) != 3:
+            continue
+        arcs = sorted(arcs)
         positions = set()
         for i in arcs:
             positions.add(i)
@@ -321,7 +286,12 @@ def simplify(code: GaussCode, budget=None) -> GaussCode:
     explored in (length, canonical key) order.
     """
     if budget is None:
-        budget = int(os.environ.get(BUDGET_ENV, DEFAULT_BUDGET))
+        text = os.environ.get(BUDGET_ENV, str(DEFAULT_BUDGET))
+        try:
+            budget = int(text)
+        except ValueError:
+            raise DiagramError(
+                f"{BUDGET_ENV}={text!r} is not an integer") from None
     if not code.is_realizable():
         raise DiagramError("code is not realizable as a planar diagram")
     start = _greedy_reduce(code)

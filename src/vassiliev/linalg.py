@@ -8,7 +8,9 @@ which is deterministic and keeps fill-in low at the sizes that occur here
 
 A `RelationSpan` is the row space of a set of relations over an ordered
 diagram basis; quotient dimensions, membership queries and the dual basis
-of annihilating functionals (weight systems) are all exact.
+of annihilating functionals (weight systems) are all exact.  The shared
+4T and 4T + split spans come from `relations.quotient_spans`; they are
+read-only, and `copy()` gives a writable span to extend.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 from math import gcd
 
 from .diagrams import ChordDiagram, DiagramSum, is_split
-from .errors import DiagramError
+from .errors import ConsistencyError, DiagramError
 
 
 def _normalize(row):
@@ -75,6 +77,7 @@ class RelationSpan:
             raise DiagramError("basis has repeated diagrams")
         self.pivots = {}      # pivot column -> normalized int row
         self.rows = []        # original rows, as inserted (int sparse)
+        self.read_only = False
 
     @staticmethod
     def over_order(n, rows=()):
@@ -96,6 +99,8 @@ class RelationSpan:
 
     def add(self, row):
         """Insert a relation; accepts a DiagramSum or a sparse vector."""
+        if self.read_only:
+            raise ConsistencyError("shared span is read-only; add to a copy()")
         if isinstance(row, DiagramSum):
             row = self.vector_of(row)
         vec = _int_row(row)
@@ -104,6 +109,18 @@ class RelationSpan:
         if col is not None:
             self.pivots[col] = _normalize(red)
         return self
+
+    def copy(self) -> "RelationSpan":
+        """A writable span with the same basis and rows.
+
+        Rows are never changed in place, so the copy shares them.
+        """
+        out = RelationSpan.__new__(RelationSpan)
+        out.basis, out.index = self.basis, self.index
+        out.pivots = dict(self.pivots)
+        out.rows = list(self.rows)
+        out.read_only = False
+        return out
 
     def add_all(self, rows):
         for r in rows:

@@ -25,7 +25,6 @@ Conventions frozen here:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
@@ -33,12 +32,10 @@ from .diagrams import CCD, DiagramSum, is_connected_ccd
 from .errors import ConsistencyError, DiagramError
 from .relations import (
     _ccd_from_pairing,
-    _drop_vertex_renumber,
     _pairing_of,
     _renumber_externals,
-    four_t_relations,
     ihx_pieces,
-    split_diagram_span,
+    quotient_spans,
     stu_expand,
 )
 
@@ -263,15 +260,6 @@ def _cycle_growth_edge(ccd: CCD, core):
 # the reduction
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
-def _drop_span(n: int):
-    from .linalg import RelationSpan
-    span = RelationSpan.over_order(n, four_t_relations(n))
-    for d in split_diagram_span(n):
-        span.add(DiagramSum([(d, 1)]))
-    return span
-
-
 def reduce_tree_to_ngons(sigma, verify_drops=True, trace=None):
     """Integral combination of complete n-gons matching the one-branch tree
     modulo 4T relations and split diagrams (over the rationals).
@@ -321,7 +309,7 @@ def reduce_tree_to_ngons(sigma, verify_drops=True, trace=None):
             if dist == 1:
                 if verify_drops:
                     expanded = stu_expand(tree_ccd((0,) + att))
-                    if not _drop_span(n).member(expanded):
+                    if not quotient_spans(n)[1].member(expanded):
                         raise ConsistencyError(
                             f"dropped tree {att} is not in the 4T+split span")
                 log("STU", f"drop consecutive-tail tree {att}", 1, [])

@@ -29,16 +29,18 @@ Sign conventions are frozen here once and for all:
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import lru_cache
 
 from .diagrams import (
     CCD,
+    CHORD_ENUM_GUARD,
     ChordDiagram,
     DiagramSum,
     enumerate_chord_diagrams,
     is_split,
 )
 from .errors import DiagramError
+from .linalg import RelationSpan
 
 
 # ---------------------------------------------------------------------------
@@ -196,18 +198,6 @@ def _lowest_resolvable(ccd: CCD) -> int:
     raise DiagramError("no internal vertex adjacent to the circle")
 
 
-def stu_expand_with_order(c: CCD, chooser) -> DiagramSum:
-    """Expansion with an arbitrary resolution order (for well-definedness
-    tests); `chooser(ccd, candidates)` picks an external vertex."""
-    if c.is_chord_diagram():
-        return DiagramSum([(c.to_chord_diagram(), 1)])
-    candidates = [p for p in range(c.ext) if c.external_target(p)[0] == "v"]
-    p = chooser(c, candidates)
-    parallel, crossed = stu_resolutions(c, p)
-    return (stu_expand_with_order(parallel, chooser)
-            - stu_expand_with_order(crossed, chooser))
-
-
 # ---------------------------------------------------------------------------
 # 4T
 # ---------------------------------------------------------------------------
@@ -290,8 +280,9 @@ def _rewire(ccd: CCD, v, w, v_legs, w_legs):
     return _ccd_from_pairing(ccd.ext, n_int, pairing)
 
 
-def ihx_relation(c: CCD, edge) -> DiagramSum:
-    """I - H + X for the internal-internal edge given as a slot ref (i, s)."""
+def ihx_pieces(c: CCD, edge):
+    """(I, H, X) as raw CCDs for the internal-internal edge given as a slot
+    ref (i, s); the relation is I - H + X."""
     i, s = edge
     tgt = c.vertices[i][s]
     if tgt[0] != "v":
@@ -306,28 +297,13 @@ def ihx_relation(c: CCD, edge) -> DiagramSum:
     ident = _rewire(c, i, j, (a, b), (cc, d))
     h = _rewire(c, i, j, (d, a), (b, cc))
     x = _rewire(c, i, j, (cc, a), (b, d))
-    out = DiagramSum()
-    out.add(ident, 1)
-    out.add(h, -1)
-    out.add(x, 1)
-    return out
-
-
-def ihx_pieces(c: CCD, edge):
-    """(I, H, X) as raw CCDs, same convention as ihx_relation."""
-    i, s = edge
-    tgt = c.vertices[i][s]
-    if tgt[0] != "v":
-        raise DiagramError("edge must join two internal vertices")
-    j, t = tgt[1], tgt[2]
-    a = ("v", i, (s + 1) % 3)
-    b = ("v", i, (s + 2) % 3)
-    cc = ("v", j, (t + 1) % 3)
-    d = ("v", j, (t + 2) % 3)
-    ident = _rewire(c, i, j, (a, b), (cc, d))
-    h = _rewire(c, i, j, (d, a), (b, cc))
-    x = _rewire(c, i, j, (cc, a), (b, d))
     return ident, h, x
+
+
+def ihx_relation(c: CCD, edge) -> DiagramSum:
+    """I - H + X for the internal-internal edge given as a slot ref (i, s)."""
+    ident, h, x = ihx_pieces(c, edge)
+    return DiagramSum([(ident, 1), (h, -1), (x, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +314,23 @@ def split_diagram_span(n: int):
     """All canonical split chord diagrams of order n."""
     return sorted((d for d in enumerate_chord_diagrams(n) if is_split(d)),
                   key=lambda d: d.word)
+
+
+@lru_cache(maxsize=CHORD_ENUM_GUARD)
+def quotient_spans(n: int):
+    """(four_t, primitive): the order-n spans of 4T and of 4T + split.
+
+    The first presents the graded piece of the Vassiliev invariants mod
+    4T, the second its primitive part.  Both are built once per order and
+    shared, so they are read-only; `copy()` one to add rows.  Orders
+    outside 2..CHORD_ENUM_GUARD raise, so at most that many are cached.
+    """
+    four_t = RelationSpan.over_order(n, four_t_relations(n))
+    primitive = four_t.copy()
+    for d in split_diagram_span(n):
+        primitive.add(DiagramSum([(d, 1)]))
+    four_t.read_only = primitive.read_only = True
+    return four_t, primitive
 
 
 def dump_relations(fp, relations):

@@ -28,8 +28,8 @@ The signed-diagram identity.  Smashing one scheme crossing per station
 produces exactly the chord diagram family C(i_1, ..., i_n) read off the
 marked circle with three sites per station, and the alternating sum over
 the 2^n choices matches the STU expansion of the complete n-gon modulo
-4T; `verify_identity` checks this exactly, which is what pins the values
-of the low-order invariants on the family.
+4T; `verify_ohyama_identity` checks this exactly, which is what pins the
+values of the low-order invariants on the family.
 """
 
 from __future__ import annotations
@@ -42,9 +42,8 @@ from itertools import product
 from .diagrams import ChordDiagram, DiagramSum
 from .errors import ConsistencyError, DiagramError, ResourceGuardError
 from .gausscodes import GaussCode, Passage, connected_sum, simplify
-from .linalg import RelationSpan
 from .ngons import check_perm, complete_ngon, ngon_representatives
-from .relations import four_t_relations, stu_expand
+from .relations import quotient_spans, stu_expand
 
 PERIOD = 20
 
@@ -347,9 +346,8 @@ def verify_ohyama_identity(sigma) -> bool:
     n = len(sigma)
     if n not in (2, 3, 4):
         raise ResourceGuardError("identity check guarded to orders 2..4")
-    span = RelationSpan.over_order(n, four_t_relations(n))
     diff = scheme_state_sum(sigma) - stu_expand(complete_ngon(sigma))
-    return span.member(diff)
+    return quotient_spans(n)[0].member(diff)
 
 
 def code_scheme_diagrams(code: GaussCode, scheme: CrossingScheme):
@@ -482,12 +480,8 @@ def formal_vn_inverse(k: FormalKnot, n: int) -> FormalKnot:
         if len(sigma) > n:
             raise DiagramError("factor order exceeds the requested range")
     inv = k.inverse()
-    from .relations import split_diagram_span
     for m in range(2, n + 1):
-        span = RelationSpan.over_order(m, four_t_relations(m))
-        for d in split_diagram_span(m):
-            span.add(DiagramSum([(d, 1)]))
-        for w in span.dual_basis():
+        for w in quotient_spans(m)[1].dual_basis():
             if k.order_profile(w) + inv.order_profile(w) != 0:
                 raise ConsistencyError("inverse failed to cancel a weight")
     return inv

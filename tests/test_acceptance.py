@@ -25,7 +25,6 @@ from vassiliev.bounds import (
 )
 from vassiliev.diagrams import (
     ChordDiagram,
-    DiagramSum,
     enumerate_chord_diagrams,
     enumerate_connected_ccds,
     sample_connected_ccds,
@@ -45,11 +44,7 @@ from vassiliev.ngons import (
     one_branch_tree,
     reduce_tree_to_ngons,
 )
-from vassiliev.relations import (
-    four_t_relations,
-    split_diagram_span,
-    stu_expand,
-)
+from vassiliev.relations import quotient_spans, stu_expand
 from vassiliev.ribbon import (
     all_switchings_trivial,
     ribbon_gauss_code,
@@ -60,16 +55,8 @@ from vassiliev.ribbon import (
 PUBLISHED_BOUNDS = [1, 2, 4, 14, 54, 332, 2246]
 PRIMES = (2147483647, 2305843009213693951)
 
-_spans = {}
-
-
 def relation_span(n) -> RelationSpan:
-    if n not in _spans:
-        span = RelationSpan.over_order(n, four_t_relations(n))
-        for d in split_diagram_span(n):
-            span.add(DiagramSum([(d, 1)]))
-        _spans[n] = span
-    return _spans[n]
+    return quotient_spans(n)[1]
 
 
 def report(num, text, ok, extra=""):
@@ -130,9 +117,7 @@ def test_criterion_04b_order6_dimension():
     # flagged optional (30 min budget) but the sparse echelon finishes in
     # seconds, so it runs unconditionally
     t0 = time.time()
-    span = RelationSpan.over_order(6, four_t_relations(6))
-    for d in split_diagram_span(6):
-        span.add(DiagramSum([(d, 1)]))
+    span = quotient_spans(6)[1]
     dim = span.quotient_dim()
     report(4, "order-6 primitive dimension equals 5", dim == 5,
            f"{time.time()-t0:.0f}s")
@@ -141,9 +126,7 @@ def test_criterion_04b_order6_dimension():
 def test_criterion_05_ngons_span():
     ok = True
     for n in (3, 4, 5):
-        span = RelationSpan.over_order(n, four_t_relations(n))
-        for d in split_diagram_span(n):
-            span.add(DiagramSum([(d, 1)]))
+        span = quotient_spans(n)[1].copy()
         for rep in ngon_representatives(n):
             span.add(stu_expand(complete_ngon(rep)))
         ok = ok and span.rank == len(span.basis)

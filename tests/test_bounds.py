@@ -103,15 +103,10 @@ def test_bound_asymptotics_sane():
 
 def test_bound_vs_actual_primitive_dims():
     # the bound dominates the exactly computed dimensions 1, 2, 3
-    from vassiliev.diagrams import DiagramSum
-    from vassiliev.linalg import RelationSpan
-    from vassiliev.relations import four_t_relations, split_diagram_span
+    from vassiliev.relations import quotient_spans
     actual = {}
     for n in (3, 4, 5):
-        span = RelationSpan.over_order(n, four_t_relations(n))
-        for d in split_diagram_span(n):
-            span.add(DiagramSum([(d, 1)]))
-        actual[n] = span.quotient_dim()
+        actual[n] = quotient_spans(n)[1].quotient_dim()
     assert actual == {3: 1, 4: 2, 5: 3}
     for n in (3, 4, 5):
         assert primitive_bound(n) >= actual[n]

@@ -1,10 +1,17 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from vassiliev.cli import main
+from vassiliev.relations import quotient_spans
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(*argv):
@@ -86,3 +93,36 @@ def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["bounds", "--bogus"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["reduce", "--sigma", "1,1,2"], {}),
+    (["reduce", "--sigma", "1,x"], {}),
+    (["ribbon", "gen", "--sigma", "2,1,3"], {}),
+    (["ngons", "--n", "1"], {}),
+    (["ribbon", "verify", "--sigma", "1,2"],
+     {"VASSILIEV_SIMPLIFY_BUDGET": "abc"}),
+])
+def test_bad_input_exits_2_with_one_line(argv, env):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, **env, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-m", "vassiliev.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+
+
+def _snapshot(n):
+    return [({c: dict(r) for c, r in span.pivots.items()},
+             [dict(r) for r in span.rows]) for span in quotient_spans(n)]
+
+
+def test_cli_leaves_cached_spans_unchanged():
+    spans = {n: quotient_spans(n) for n in (3, 4)}
+    before = {n: _snapshot(n) for n in spans}
+    assert run_cli("selftest")[0] == 0
+    assert run_cli("reduce", "--sigma", "2,4,1,3", "--verify")[0] == 0
+    for n in spans:
+        assert quotient_spans(n) is spans[n]
+        assert _snapshot(n) == before[n]

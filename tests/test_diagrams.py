@@ -14,6 +14,7 @@ from vassiliev.diagrams import (
     enumerate_connected_ccds,
     is_connected_ccd,
     is_split,
+    sample_connected_ccds,
 )
 from vassiliev.errors import DiagramError, ResourceGuardError
 
@@ -140,6 +141,72 @@ def test_is_connected_ccd():
     assert not is_connected_ccd(two_chords)
     crossing = CCD.from_chord_diagram(ChordDiagram.from_text("1212"))
     assert is_connected_ccd(crossing)
+
+
+def _ccd_components(c):
+    """Circle position sets of the chords and of the internal pieces."""
+    comps = [set(pair) for pair in c.chord_pairs]
+    todo = set(range(len(c.vertices)))
+    while todo:
+        stack = [todo.pop()]
+        points = set()
+        while stack:
+            for tgt in c.vertices[stack.pop()]:
+                if tgt[0] == "x":
+                    points.add(tgt[1])
+                elif tgt[1] in todo:
+                    todo.discard(tgt[1])
+                    stack.append(tgt[1])
+        comps.append(points)
+    return comps
+
+
+def _naive_is_connected_ccd(c):
+    size = c.ext
+    comps = _ccd_components(c)
+    if size == 1 or len(comps) <= 1:
+        return True
+    for i in range(size):
+        for j in range(size):
+            if i == j:
+                continue
+            arc = {(i + k) % size for k in range((j - i) % size)}
+            if all(comp <= arc or not comp & arc for comp in comps):
+                has_in = any(comp <= arc for comp in comps)
+                has_out = any(not comp & arc for comp in comps)
+                if has_in and has_out:
+                    return False
+    return True
+
+
+def _juxtaposed(a, b, r):
+    """a and b side by side on one circle, rotated by r: a split CCD."""
+    E = a.ext + b.ext
+
+    def move(tgt, dx, dv):
+        if tgt[0] == "x":
+            return ("x", (tgt[1] + dx + r) % E)
+        return ("v", tgt[1] + dv, tgt[2])
+
+    verts = [tuple(move(t, 0, 0) for t in slots) for slots in a.vertices]
+    verts += [tuple(move(t, a.ext, len(a.vertices)) for t in slots)
+              for slots in b.vertices]
+    chords = [((p + r) % E, (q + r) % E) for p, q in a.chord_pairs]
+    chords += [((p + a.ext + r) % E, (q + a.ext + r) % E)
+               for p, q in b.chord_pairs]
+    return CCD.build(E, verts, chords)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=4),
+       st.integers(min_value=0, max_value=99),
+       st.integers(min_value=0, max_value=15))
+def test_is_connected_ccd_matches_naive_scan(n, seed, r):
+    a, b = sample_connected_ccds(n, 2, seed=seed)
+    split = _juxtaposed(a, b, r)
+    assert not _naive_is_connected_ccd(split)
+    for c in (a, b, split):
+        assert is_connected_ccd(c) == _naive_is_connected_ccd(c)
 
 
 def test_diagram_sum_arithmetic():

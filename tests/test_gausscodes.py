@@ -14,6 +14,7 @@ from vassiliev.gausscodes import (
     reidemeister_two,
     simplify,
 )
+from vassiliev.ribbon import ribbon_gauss_code, ribbon_inverse_code
 
 
 def test_parse_and_format_roundtrip():
@@ -104,3 +105,21 @@ def test_canonical_key_rotation_invariant():
     ps = RIGHT_TREFOIL.passages
     rotated = GaussCode(ps[2:] + ps[:2])
     assert rotated.canonical_key() == RIGHT_TREFOIL.canonical_key()
+
+
+
+@pytest.mark.parametrize("code, genus, r3", [
+    pytest.param(RIGHT_TREFOIL, 0, 0, id="right-trefoil"),
+    pytest.param(FIGURE_EIGHT, 0, 0, id="figure-eight"),
+    pytest.param(GaussCode.from_text("O1-,O2-,U1-,U2-"), 1, 0, id="virtual-2"),
+    pytest.param(GaussCode.from_text("O1+,U2-,O3+,U1+,O2-,U3+"), 1, 0,
+                 id="virtual-3"),
+    pytest.param(ribbon_gauss_code((1, 2))[0], 0, 2, id="ribbon-12"),
+    pytest.param(ribbon_inverse_code((1, 2))[0], 0, 3, id="inverse-12"),
+    pytest.param(ribbon_gauss_code((1, 2, 3))[0], 0, 3, id="ribbon-123"),
+    pytest.param(ribbon_gauss_code((1, 3, 2))[0], 0, 7, id="ribbon-132"),
+])
+def test_rotation_faces_pinned(code, genus, r3):
+    # genus and the R3 move count both read the one rotation system
+    assert code.genus() == genus
+    assert len(reidemeister_three(code)) == r3

@@ -8,16 +8,13 @@ from hypothesis import given, settings, strategies as st
 from vassiliev.diagrams import ChordDiagram, DiagramSum, enumerate_chord_diagrams
 from vassiliev.errors import DiagramError
 from vassiliev.linalg import RelationSpan, WeightSystem
-from vassiliev.relations import four_t_relations, split_diagram_span
+from vassiliev.relations import four_t_relations, quotient_spans
 
 PRIMES = (2147483647, 2305843009213693951)  # both > 2^31
 
 
 def full_span(n):
-    span = RelationSpan.over_order(n, four_t_relations(n))
-    for d in split_diagram_span(n):
-        span.add(DiagramSum([(d, 1)]))
-    return span
+    return quotient_spans(n)[1]
 
 
 def test_rank_empty_and_duplicates():

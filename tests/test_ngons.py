@@ -3,9 +3,8 @@ from itertools import permutations
 
 import pytest
 
-from vassiliev.diagrams import CCD, DiagramSum, is_connected_ccd
+from vassiliev.diagrams import CCD, is_connected_ccd
 from vassiliev.errors import DiagramError
-from vassiliev.linalg import RelationSpan
 from vassiliev.ngons import (
     add_chord_length_two,
     canonical_representative,
@@ -16,18 +15,11 @@ from vassiliev.ngons import (
     reduce_tree_to_ngons,
     tree_ccd,
 )
-from vassiliev.relations import (
-    four_t_relations,
-    split_diagram_span,
-    stu_expand,
-)
+from vassiliev.relations import quotient_spans, stu_expand
 
 
 def relation_span(n):
-    span = RelationSpan.over_order(n, four_t_relations(n))
-    for d in split_diagram_span(n):
-        span.add(DiagramSum([(d, 1)]))
-    return span
+    return quotient_spans(n)[1].copy()
 
 
 def test_one_branch_tree_shapes():

@@ -10,13 +10,13 @@ from vassiliev.diagrams import (
     enumerate_chord_diagrams,
     enumerate_connected_ccds,
 )
-from vassiliev.errors import DiagramError
+from vassiliev.errors import ConsistencyError, DiagramError
 from vassiliev.relations import (
     four_t_relations,
     ihx_relation,
     split_diagram_span,
+    quotient_spans,
     stu_expand,
-    stu_expand_with_order,
     stu_resolutions,
 )
 from vassiliev.linalg import RelationSpan
@@ -43,6 +43,42 @@ def expand_sum(combo: DiagramSum) -> DiagramSum:
 
 def span_4t(n) -> RelationSpan:
     return RelationSpan.over_order(n, four_t_relations(n))
+
+
+def hand_built_spans(n):
+    """Oracle for `quotient_spans`: both spans built row by row."""
+    rels = four_t_relations(n)
+    primitive = RelationSpan.over_order(n, rels)
+    for d in split_diagram_span(n):
+        primitive.add(DiagramSum([(d, 1)]))
+    return RelationSpan.over_order(n, rels), primitive
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_quotient_spans_match_hand_built(n):
+    for cached, oracle in zip(quotient_spans(n), hand_built_spans(n)):
+        assert cached.basis == oracle.basis
+        assert cached.pivots == oracle.pivots
+        assert cached.rank == oracle.rank
+        assert cached.quotient_dim() == oracle.quotient_dim()
+        assert cached.rows == oracle.rows
+
+
+def test_quotient_spans_are_shared_and_read_only():
+    four_t, primitive = quotient_spans(3)
+    assert quotient_spans(3)[0] is four_t
+    row = DiagramSum([(ChordDiagram.from_text("112233"), 1)])
+    for span in (four_t, primitive):
+        rank = span.rank
+        with pytest.raises(ConsistencyError):
+            span.add(row)
+        with pytest.raises(ConsistencyError):
+            span.add_all([row])
+        assert span.rank == rank
+    grown = four_t.copy()
+    grown.add(row)
+    assert grown.rank == four_t.rank + 1
+    assert four_t.rank == 2 and len(four_t.rows) == len(four_t_relations(3))
 
 
 def test_stu_golden_two_gon():
@@ -98,6 +134,18 @@ def test_split_span():
     assert [d.as_text() for d in split_diagram_span(2)] == ["1122"]
     assert [d.as_text() for d in split_diagram_span(1)] == ["11"]
     assert len(split_diagram_span(3)) == 3
+
+
+def stu_expand_with_order(c: CCD, chooser) -> DiagramSum:
+    """Well-definedness oracle: STU expansion in an arbitrary resolution
+    order; `chooser(ccd, candidates)` picks an external vertex."""
+    if c.is_chord_diagram():
+        return DiagramSum([(c.to_chord_diagram(), 1)])
+    candidates = [p for p in range(c.ext) if c.external_target(p)[0] == "v"]
+    p = chooser(c, candidates)
+    parallel, crossed = stu_resolutions(c, p)
+    return (stu_expand_with_order(parallel, chooser)
+            - stu_expand_with_order(crossed, chooser))
 
 
 def test_stu_well_defined_mod_4t():

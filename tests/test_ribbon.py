@@ -7,9 +7,8 @@ from vassiliev.diagrams import ChordDiagram, DiagramSum
 from vassiliev.errors import DiagramError
 from vassiliev.gausscodes import connected_sum, simplify
 from vassiliev.invariants import a2_skein, invariant_a2, invariant_v3
-from vassiliev.linalg import RelationSpan
 from vassiliev.ngons import complete_ngon, ngon_representatives
-from vassiliev.relations import four_t_relations, split_diagram_span, stu_expand
+from vassiliev.relations import quotient_spans, stu_expand
 from vassiliev.ribbon import (
     CrossingScheme,
     FormalKnot,
@@ -26,10 +25,7 @@ from vassiliev.ribbon import (
 
 
 def dual_weight(n, anchor):
-    span = RelationSpan.over_order(n, four_t_relations(n))
-    for d in split_diagram_span(n):
-        span.add(DiagramSum([(d, 1)]))
-    (w,) = span.dual_basis()
+    (w,) = quotient_spans(n)[1].dual_basis()
     return w.normalized_at(ChordDiagram.from_text(anchor))
 
 
