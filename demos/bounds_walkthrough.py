@@ -16,7 +16,6 @@ from vassiliev.bounds import (
     comparison_rows,
     divisors,
     primitive_bound,
-    total_bound,
     x_size,
     xtilde_count,
 )

@@ -32,8 +32,8 @@ for step in trace:
 table = _ngon_class_table(n)
 print("\nresulting integral n-gon combination:")
 for d, c in combo.items_sorted():
-    canon, s, _ = d.canonical()
-    rep, s_rep, _ = table[(canon.ext, canon.vertices, canon.chord_pairs)]
+    _, s, _ = d.canonical()
+    rep, s_rep, _ = table[d.key()]
     print(f"  {int(c) * s * s_rep:+d} * f{rep}")
 
 print("\ncertifying: expanded tree minus expanded combination lies in the")

@@ -23,6 +23,7 @@ from math import factorial
 from .errors import ConsistencyError, ResourceGuardError
 
 BRUTE_GUARD = 9
+BOUND_TABLE_GUARD = 40
 
 
 def euler_phi(k: int) -> int:
@@ -290,6 +291,9 @@ def bound_table(n_max: int):
     """BoundReport rows for 3 <= n <= n_max."""
     if n_max < 3:
         raise ValueError("n_max >= 3 required")
+    if n_max > BOUND_TABLE_GUARD:
+        raise ResourceGuardError(
+            f"bound table supports n_max <= {BOUND_TABLE_GUARD}")
     return [bound_report(n) for n in range(3, n_max + 1)]
 
 

@@ -23,6 +23,7 @@ import sys
 
 from . import __version__
 from .errors import DiagramError, ResourceGuardError
+from .gausscodes import simplify_budget
 
 
 def _print_header(args):
@@ -101,8 +102,8 @@ def cmd_reduce(args):
     table = _ngon_class_table(len(sigma))
     terms = []
     for d, c in combo.items_sorted():
-        canon, sign, _ = d.canonical()
-        rep, rep_sign, _ = table[(canon.ext, canon.vertices, canon.chord_pairs)]
+        _, sign, _ = d.canonical()
+        rep, rep_sign, _ = table[d.key()]
         terms.append({"sigma": list(rep), "coefficient": int(c) * sign * rep_sign})
     print(json.dumps({"sigma": list(sigma), "ngon_combination": terms}))
     print(json.dumps(trace))
@@ -143,6 +144,7 @@ def cmd_ribbon(args):
         print(scheme.to_json())
         return 0
     # verify
+    simplify_budget()  # reject a bad budget before any output
     _print_header(args)
     code, scheme = ribbon_gauss_code(sigma)
     checks = {"realizable": code.is_realizable()}
@@ -184,6 +186,7 @@ def cmd_selftest(args):
     from .ngons import complete_ngon, ngon_representatives
     from .ribbon import all_switchings_trivial, ribbon_gauss_code, verify_ohyama_identity
 
+    simplify_budget()  # reject a bad budget before any output
     _print_header(args)
     ok = True
 

@@ -279,6 +279,16 @@ def _greedy_reduce(code: GaussCode) -> GaussCode:
         return code
 
 
+def simplify_budget() -> int:
+    """The default R3 state budget: $VASSILIEV_SIMPLIFY_BUDGET if set."""
+    text = os.environ.get(BUDGET_ENV, str(DEFAULT_BUDGET))
+    try:
+        return int(text)
+    except ValueError:
+        raise DiagramError(
+            f"{BUDGET_ENV}={text!r} is not an integer") from None
+
+
 def simplify(code: GaussCode, budget=None) -> GaussCode:
     """Shortest code reachable by R1/R2 (greedy) and budgeted R3 search.
 
@@ -286,12 +296,7 @@ def simplify(code: GaussCode, budget=None) -> GaussCode:
     explored in (length, canonical key) order.
     """
     if budget is None:
-        text = os.environ.get(BUDGET_ENV, str(DEFAULT_BUDGET))
-        try:
-            budget = int(text)
-        except ValueError:
-            raise DiagramError(
-                f"{BUDGET_ENV}={text!r} is not an integer") from None
+        budget = simplify_budget()
     if not code.is_realizable():
         raise DiagramError("code is not realizable as a planar diagram")
     start = _greedy_reduce(code)

@@ -5,9 +5,11 @@
   coefficient.  Works for any realizable code at desk sizes.
 
 * `a2_gauss` - Polyak-Viro style subconfiguration count over pairs of
-  crossings.  The pattern weights are frozen constants, calibrated once
-  against the skein evaluator (see `fit_pair_formula`) and locked by
-  golden tests; the two evaluators must agree on every code.
+  crossings, taken at the base point, which Polyak-Viro makes base-point
+  independent on realizable codes.  The pattern weights are frozen
+  constants, calibrated once against the skein evaluator (see
+  `fit_pair_formula`) and locked by golden tests; the two evaluators must
+  agree on every code.
 
 * `kauffman_bracket` / `jones_polynomial` - state sum, exponential in the
   crossing number; used as the independent oracle for the order-3
@@ -26,6 +28,7 @@ from functools import lru_cache
 
 from .errors import ConsistencyError, DiagramError
 from .gausscodes import GaussCode, Passage, simplify
+from .linalg import RelationSpan
 
 # ---------------------------------------------------------------------------
 # Conway polynomial via skein recursion
@@ -165,6 +168,23 @@ def split_summands(code: GaussCode):
     return parts
 
 
+def _sum_over_summands(code: GaussCode, memo, evaluate) -> Fraction:
+    """Sum of `evaluate` over the visible summands of an additive invariant.
+
+    Each factor is shrunk with a small deterministic move budget before
+    `evaluate` sees it; factor results are cached in `memo` by the
+    rotation- and relabel-invariant code key.
+    """
+    total = Fraction(0)
+    for part in split_summands(code):
+        key = part.canonical_key()
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = evaluate(simplify(part, budget=400))
+        total += got
+    return total
+
+
 _PART_A2 = {}
 
 
@@ -172,21 +192,12 @@ def a2_skein(code: GaussCode) -> Fraction:
     """z^2 coefficient of the Conway polynomial.
 
     Visible connected sums are evaluated factor by factor (a2 is
-    additive); each factor is deterministically reduced by Reidemeister
-    moves first, since the skein recursion on a raw clasp diagram
-    branches far too much.  Factor results are cached by the rotation-
-    and relabel-invariant code key.
+    additive); each factor is reduced by Reidemeister moves first, since
+    the skein recursion on a raw clasp diagram branches far too much.
     """
-    total = Fraction(0)
-    for part in split_summands(code):
-        key = part.canonical_key()
-        got = _PART_A2.get(key)
-        if got is None:
-            small = simplify(part, budget=400)
-            got = Fraction(conway_polynomial(small).get(2, 0))
-            _PART_A2[key] = got
-        total += got
-    return total
+    return _sum_over_summands(
+        code, _PART_A2,
+        lambda small: Fraction(conway_polynomial(small).get(2, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +229,7 @@ def _pair_features(code: GaussCode):
             first_x = next(ps[i].over for i, m in marks if m == "x")
             first_y = next(ps[i].over for i, m in marks if m == "y")
             key = (arrangement, first_x, first_y)
-            w = code.sign_of(a) * code.sign_of(b)
+            w = ps[pos[a][0]].sign * ps[pos[b][0]].sign
             feats[key] = feats.get(key, 0) + w
     return feats
 
@@ -231,23 +242,16 @@ A2_PATTERN_WEIGHTS = {
 
 
 def evaluate_pair_formula(weights, code: GaussCode) -> Fraction:
-    """Weighted signed pair count, averaged over all base points."""
-    ps = code.passages
-    m = len(ps)
-    if m == 0:
-        return Fraction(0)
-    total = Fraction(0)
-    for r in range(m):
-        rotated = GaussCode(ps[r:] + ps[:r])
-        feats = _pair_features(rotated)
-        for key, weight in weights.items():
-            total += weight * feats.get(key, 0)
-    return total / m
+    """Weighted signed pair count at the base point, which Polyak-Viro
+    makes base-point independent on realizable codes."""
+    feats = _pair_features(code)
+    return sum((w * feats.get(k, 0) for k, w in weights.items()), Fraction(0))
 
 
 def a2_gauss(code: GaussCode) -> Fraction:
     """Order-2 invariant by counting linked pairs (over-then-under first
-    passages), averaged over all base points of the cyclic code."""
+    passages) at the base point, which Polyak-Viro makes base-point
+    independent on realizable codes."""
     return evaluate_pair_formula(A2_PATTERN_WEIGHTS, code)
 
 
@@ -307,10 +311,9 @@ def kauffman_bracket(code: GaussCode) -> dict:
         choice = {}
         for k, cid in enumerate(crossings):
             pick_a = bool(mask >> k & 1)
-            sign = code.sign_of(cid)
             # A-smoothing of a positive crossing is the oriented one
             # (this bracket satisfies <positive kink> = -A^3 <unknot>)
-            oriented = pick_a if sign > 0 else not pick_a
+            oriented = pick_a if ps[at[cid][0]].sign > 0 else not pick_a
             choice[cid] = oriented
             apow += 1 if pick_a else -1
         nloops = loops(choice)
@@ -369,6 +372,15 @@ def _trefoil_shadow(switch):
     return base.switched(switch)
 
 
+def _shadow_alternating_sum(f, crossings) -> Fraction:
+    """Sum of (-1)^|S| f(shadow with S switched) over subsets S of crossings."""
+    total = Fraction(0)
+    for mask in range(1 << len(crossings)):
+        switch = {cid for k, cid in enumerate(crossings) if mask >> k & 1}
+        total += (-1) ** len(switch) * f(_trefoil_shadow(switch))
+    return total
+
+
 @lru_cache(maxsize=1)
 def _v3_dual_scale() -> Fraction:
     """Normalise the order-3 extraction against the chord diagram 123123.
@@ -378,11 +390,7 @@ def _v3_dual_scale() -> Fraction:
     diagram; dividing by it pins the weight to exactly 1 (the dual-basis
     normalisation used everywhere else).
     """
-    total = Fraction(0)
-    for mask in range(8):
-        switch = {cid for k, cid in enumerate((1, 2, 3)) if mask >> k & 1}
-        value = _v3_raw(_trefoil_shadow(switch))
-        total += (-1) ** len(switch) * value
+    total = _shadow_alternating_sum(_v3_raw, (1, 2, 3))
     if total == 0:
         raise ConsistencyError("order-3 calibration degenerated to zero")
     return 1 / total
@@ -400,36 +408,25 @@ def v3_jones(code: GaussCode) -> Fraction:
 _PART_V3 = {}
 
 
+def _v3_small(small: GaussCode) -> Fraction:
+    if len(small) > 18:
+        raise DiagramError("code too large for the order-3 evaluator")
+    return v3_jones(small)
+
+
 def invariant_v3(code: GaussCode) -> Fraction:
     """v3 on the dual-basis scale, via simplification + state sum.
 
     Visible connected sums are evaluated factor by factor (v3 is
     additive: the Jones log-expansion has no h^1 term, so the h^3
-    coefficients add over sums).  Each factor is shrunk with a small
-    deterministic move budget before the state sum; factor results are
-    cached by the rotation- and relabel-invariant code key.
+    coefficients add over sums).
     """
-    total = Fraction(0)
-    for part in split_summands(code):
-        key = part.canonical_key()
-        got = _PART_V3.get(key)
-        if got is None:
-            small = simplify(part, budget=400)
-            if len(small) > 18:
-                raise DiagramError("code too large for the order-3 evaluator")
-            got = v3_jones(small)
-            _PART_V3[key] = got
-        total += got
-    return total
+    return _sum_over_summands(code, _PART_V3, _v3_small)
 
 
 def a2_weight_calibration() -> Fraction:
     """Raw weight of the crossing diagram 1212 under a2 (should be 1)."""
-    total = Fraction(0)
-    for mask in range(4):
-        switch = {cid for k, cid in enumerate((1, 2)) if mask >> k & 1}
-        total += (-1) ** len(switch) * a2_skein(_trefoil_shadow(switch))
-    return total
+    return _shadow_alternating_sum(a2_skein, (1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -439,52 +436,21 @@ def a2_weight_calibration() -> Fraction:
 def fit_pair_formula(batch):
     """Solve for pattern weights reproducing a2 on (code, value) pairs.
 
-    Returns a dict of pattern weights or raises if the system is
-    inconsistent.  Used in tests to re-derive A2_PATTERN_WEIGHTS.
+    Each code gives the row `features - value * e_value` over the basis
+    `keys + ["value"]`; the system is inconsistent exactly when the value
+    column is a pivot.  Free weights are 0.  Used in tests to re-derive
+    A2_PATTERN_WEIGHTS.
     """
-    keys = set()
-    rows = []
-    for code, value in batch:
-        ps = code.passages
-        m = len(ps) or 1
-        acc = {}
-        for r in range(len(ps)):
-            rotated = GaussCode(ps[r:] + ps[:r])
-            for k, v in _pair_features(rotated).items():
-                acc[k] = acc.get(k, 0) + Fraction(v)
-        acc = {k: v / m for k, v in acc.items()}
-        keys.update(acc)
-        rows.append((acc, Fraction(value)))
-    keys = sorted(keys)
-    index = {k: i for i, k in enumerate(keys)}
-    # solve least constrained: Gaussian elimination on the linear system
-    mat = []
-    for acc, val in rows:
-        row = [Fraction(0)] * len(keys) + [val]
-        for k, v in acc.items():
-            row[index[k]] = v
-        mat.append(row)
-    ncols = len(keys)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        lead = mat[r][c]
-        mat[r] = [x / lead for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(mat)):
-        if mat[i][ncols] != 0:
-            raise ConsistencyError("pair-pattern system is inconsistent")
-    sol = {}
-    for row, c in zip(mat, pivots):
-        if row[ncols] != 0:
-            sol[keys[c]] = row[ncols]
-    return sol
+    rows = [(_pair_features(code), Fraction(value)) for code, value in batch]
+    keys = sorted({k for feats, _ in rows for k in feats})
+    span = RelationSpan(keys + ["value"])
+    value_col = len(keys)
+    for feats, value in rows:
+        row = {span.index[k]: v for k, v in feats.items()}
+        row[value_col] = -value
+        span.add(row)
+    rref = span._rref()
+    if value_col in rref:
+        raise ConsistencyError("pair-pattern system is inconsistent")
+    return {keys[c]: -row[value_col]
+            for c, row in sorted(rref.items()) if row.get(value_col)}

@@ -29,7 +29,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from .diagrams import CCD, DiagramSum, is_connected_ccd
-from .errors import ConsistencyError, DiagramError
+from .errors import ConsistencyError, DiagramError, ResourceGuardError
 from .relations import (
     _ccd_from_pairing,
     _pairing_of,
@@ -38,6 +38,8 @@ from .relations import (
     quotient_spans,
     stu_expand,
 )
+
+NGON_ENUM_GUARD = 8
 
 
 def check_perm(sigma):
@@ -126,6 +128,9 @@ def ngon_representatives(n: int):
     """Sorted canonical representatives, one per complete n-gon."""
     if n < 2:
         raise DiagramError("n >= 2 required")
+    if n > NGON_ENUM_GUARD:
+        raise ResourceGuardError(
+            f"n-gon enumeration supports n <= {NGON_ENUM_GUARD}")
     reps = {canonical_representative(p) for p in permutations(range(1, n + 1))}
     return tuple(sorted(reps))
 
@@ -136,8 +141,8 @@ def _ngon_class_table(n: int):
     table = {}
     for rep in ngon_representatives(n):
         ccd = complete_ngon(rep)
-        canon, sign, null = ccd.canonical()
-        key = (canon.ext, canon.vertices, canon.chord_pairs)
+        _, sign, null = ccd.canonical()
+        key = ccd.key()
         if key not in table:
             table[key] = (rep, sign, null)
     return table
@@ -364,12 +369,11 @@ def reduce_tree_to_ngons(sigma, verify_drops=True, trace=None):
         if not core:
             raise ConsistencyError("gon term lost its internal cycle")
         if len(core) == len(gon.vertices):
-            canon, s, null = gon.canonical()
+            _, s, null = gon.canonical()
             if null:
                 log("AS", "null complete gon dropped", 1, [])
                 continue
-            key = (canon.ext, canon.vertices, canon.chord_pairs)
-            entry = table.get(key)
+            entry = table.get(gon.key())
             if entry is None:
                 raise ConsistencyError("complete gon not matched to the family")
             rep, s_rep, rep_null = entry

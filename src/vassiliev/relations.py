@@ -175,7 +175,7 @@ def stu_expand(c: CCD) -> DiagramSum:
     canon, sign, null = c.canonical()
     if null:
         return DiagramSum()
-    key = (canon.ext, canon.vertices, canon.chord_pairs)
+    key = c.key()
     got = _STU_MEMO.get(key)
     if got is None:
         got = _stu_expand_canonical(canon)

@@ -42,7 +42,7 @@ from itertools import product
 from .diagrams import ChordDiagram, DiagramSum
 from .errors import ConsistencyError, DiagramError, ResourceGuardError
 from .gausscodes import GaussCode, Passage, connected_sum, simplify
-from .ngons import check_perm, complete_ngon, ngon_representatives
+from .ngons import _ngon_class_table, check_perm, complete_ngon
 from .relations import quotient_spans, stu_expand
 
 PERIOD = 20
@@ -445,24 +445,18 @@ def realize_weights(combo: DiagramSum) -> FormalKnot:
     if combo.is_zero():
         return FormalKnot(())
     factors = []
-    classes = {}
-    n = combo.order
-    for rep in ngon_representatives(n):
-        canon, sign, null = complete_ngon(rep).canonical()
-        if not null:
-            classes.setdefault((canon.ext, canon.vertices, canon.chord_pairs),
-                               (rep, sign))
+    classes = _ngon_class_table(combo.order)
     for diagram, coeff in combo.items_sorted():
         if coeff.denominator != 1:
             raise DiagramError("clear denominators before realizing weights")
-        canon, sign, null = diagram.canonical()
+        _, sign, null = diagram.canonical()
         if null:
             continue
-        entry = classes.get((canon.ext, canon.vertices, canon.chord_pairs))
+        entry = classes.get(diagram.key())
         if entry is None:
             raise DiagramError(
                 "combo must be supported on complete n-gon diagrams")
-        rep, rep_sign = entry
+        rep, rep_sign, _ = entry
         c = int(coeff) * sign * rep_sign
         factors.append((rep, 1 if c > 0 else -1, abs(c)))
     return FormalKnot.from_factors(factors)

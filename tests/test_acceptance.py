@@ -4,14 +4,10 @@ Criterion 4's optional order-6 computation is gated behind the
 environment variable VASSILIEV_ORDER6=1 (budget: tens of minutes).
 """
 
-import os
 import random
 import time
-from fractions import Fraction
 from itertools import permutations
 from math import factorial
-
-import pytest
 
 from vassiliev.bounds import (
     brute_force_class_count,
@@ -20,12 +16,10 @@ from vassiliev.bounds import (
     comparison_rows,
     divisors,
     primitive_bound,
-    total_bound,
     xtilde_count,
 )
 from vassiliev.diagrams import (
     ChordDiagram,
-    enumerate_chord_diagrams,
     enumerate_connected_ccds,
     sample_connected_ccds,
 )

@@ -5,17 +5,13 @@ import pytest
 
 from vassiliev.bounds import (
     bound_report,
-    bound_table,
     brute_force_class_count,
     brute_force_x_size,
     brute_force_xtilde,
     comparison_rows,
     divisors,
     euler_phi,
-    half_factorial,
-    partition_sum_upper,
     primitive_bound,
-    tail_estimate_rhs,
     total_bound,
     x_size,
     xtilde_count,

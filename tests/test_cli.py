@@ -102,6 +102,9 @@ def test_unknown_flag_exits_2():
     (["ngons", "--n", "1"], {}),
     (["ribbon", "verify", "--sigma", "1,2"],
      {"VASSILIEV_SIMPLIFY_BUDGET": "abc"}),
+    (["selftest"], {"VASSILIEV_SIMPLIFY_BUDGET": "abc"}),
+    (["ngons", "--n", "9"], {}),
+    (["bounds", "--n-max", "41"], {}),
 ])
 def test_bad_input_exits_2_with_one_line(argv, env):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
@@ -109,6 +112,7 @@ def test_bad_input_exits_2_with_one_line(argv, env):
     proc = subprocess.run([sys.executable, "-m", "vassiliev.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2
+    assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr
 

@@ -6,7 +6,6 @@ from vassiliev.gausscodes import (
     LEFT_TREFOIL,
     RIGHT_TREFOIL,
     GaussCode,
-    Passage,
     alexander_det,
     connected_sum,
     reidemeister_one,

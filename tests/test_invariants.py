@@ -17,6 +17,7 @@ from vassiliev.invariants import (
     a2_skein,
     a2_weight_calibration,
     conway_polynomial,
+    evaluate_pair_formula,
     fit_pair_formula,
     invariant_a2,
     invariant_v3,
@@ -26,6 +27,7 @@ from vassiliev.invariants import (
     v3_jones,
     A2_PATTERN_WEIGHTS,
 )
+from vassiliev.ribbon import ribbon_gauss_code, ribbon_inverse_code
 
 GOLDEN_A2 = {
     "unknot": (GaussCode.from_text(""), 0),
@@ -85,8 +87,6 @@ def test_a2_gauss_invariant_under_kinks():
 def test_pair_formula_refit_validates_on_holdout():
     # the calibration system stays consistent, the frozen weights solve
     # it, and any refit solution reproduces a2 on codes it never saw
-    from vassiliev.invariants import evaluate_pair_formula
-
     rnd = random.Random(3)
     batch = []
     for name, (code, value) in GOLDEN_A2.items():
@@ -101,6 +101,42 @@ def test_pair_formula_refit_validates_on_holdout():
     for code, value in holdout:
         assert evaluate_pair_formula(sol, code) == value
         assert evaluate_pair_formula(A2_PATTERN_WEIGHTS, code) == value
+
+
+def _base_point_average(weights, code):
+    """Oracle: the based pair count averaged over all base points."""
+    ps = code.passages
+    if not ps:
+        return Fraction(0)
+    rotations = (GaussCode(ps[r:] + ps[:r]) for r in range(len(ps)))
+    return sum(evaluate_pair_formula(weights, c) for c in rotations) / len(ps)
+
+
+def _a2_corpus():
+    rnd = random.Random(7)
+    codes = [code for code, _ in GOLDEN_A2.values()]
+    for sigma in ((1, 2), (1, 2, 3), (1, 3, 2)):
+        for maker in (ribbon_gauss_code, ribbon_inverse_code):
+            code, scheme = maker(sigma)
+            codes.append(code)
+            codes += [code.switched(pair) for pair in scheme.sets]
+    return codes + [_random_reidemeister_image(rnd, c) for c in list(codes)]
+
+
+def test_a2_gauss_is_base_point_independent():
+    # the based count equals the base-point average and is the same at
+    # every base point, as the Polyak-Viro formula requires
+    for code in _a2_corpus():
+        ps = code.passages
+        value = a2_gauss(code)
+        assert value == _base_point_average(A2_PATTERN_WEIGHTS, code)
+        for r in range(len(ps)):
+            assert a2_gauss(GaussCode(ps[r:] + ps[:r])) == value, r
+
+
+def test_pair_formula_fit_rejects_inconsistent_values():
+    with pytest.raises(ConsistencyError):
+        fit_pair_formula([(RIGHT_TREFOIL, 1), (RIGHT_TREFOIL, 2)])
 
 
 def test_jones_goldens():

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vassiliev.diagrams import ChordDiagram, DiagramSum, enumerate_chord_diagrams
+from vassiliev.diagrams import ChordDiagram, DiagramSum
 from vassiliev.errors import DiagramError
-from vassiliev.linalg import RelationSpan, WeightSystem
+from vassiliev.linalg import RelationSpan
 from vassiliev.relations import four_t_relations, quotient_spans
 
 PRIMES = (2147483647, 2305843009213693951)  # both > 2^31

@@ -7,7 +7,6 @@ from vassiliev.diagrams import (
     CCD,
     ChordDiagram,
     DiagramSum,
-    enumerate_chord_diagrams,
     enumerate_connected_ccds,
 )
 from vassiliev.errors import ConsistencyError, DiagramError

@@ -7,7 +7,7 @@ from vassiliev.diagrams import ChordDiagram, DiagramSum
 from vassiliev.errors import DiagramError
 from vassiliev.gausscodes import connected_sum, simplify
 from vassiliev.invariants import a2_skein, invariant_a2, invariant_v3
-from vassiliev.ngons import complete_ngon, ngon_representatives
+from vassiliev.ngons import complete_ngon
 from vassiliev.relations import quotient_spans, stu_expand
 from vassiliev.ribbon import (
     CrossingScheme,
@@ -19,7 +19,6 @@ from vassiliev.ribbon import (
     realize_weights,
     ribbon_gauss_code,
     ribbon_inverse_code,
-    scheme_state_sum,
     verify_ohyama_identity,
 )
 
