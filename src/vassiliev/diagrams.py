@@ -138,16 +138,18 @@ def _word_from_matching(m, size):
     return tuple(word)
 
 
+@lru_cache(maxsize=CHORD_ENUM_GUARD)
 def enumerate_chord_diagrams(n: int):
-    """All canonical chord diagrams of order n (guarded, n <= 7)."""
+    """All canonical chord diagrams of order n (guarded, n <= 7).
+
+    Cached per order, so the set is frozen; a guard error is not cached.
+    """
     if not 1 <= n <= CHORD_ENUM_GUARD:
         raise ResourceGuardError(
             f"chord diagram enumeration supports 1 <= n <= {CHORD_ENUM_GUARD}"
         )
-    out = set()
-    for m in _matchings(list(range(2 * n))):
-        out.add(ChordDiagram.from_word(_word_from_matching(m, 2 * n)))
-    return out
+    return frozenset(ChordDiagram.from_word(_word_from_matching(m, 2 * n))
+                     for m in _matchings(list(range(2 * n))))
 
 
 def count_chord_diagrams_burnside(n: int) -> int:
@@ -224,11 +226,14 @@ class CCD:
 
     `vertices[i]` is the 3-tuple of targets of internal vertex i in its
     counterclockwise slot order.  Every external vertex has exactly one
-    incident edge.  Total vertex count 2n with n = order.
+    incident edge.  Total vertex count 2n with n = order.  `chords` holds
+    the external-external edges as sorted pairs; `build` sets it, and None
+    is allowed only when no external vertex is left for a chord.
     """
 
     ext: int
     vertices: tuple
+    chords: tuple | None = None
 
     def __post_init__(self):
         if self.ext < 1:
@@ -255,6 +260,10 @@ class CCD:
         chord_ends = [p for p in range(self.ext) if p not in ext_seen]
         if len(chord_ends) % 2:
             raise DiagramError("unmatched external vertex")
+        if self.chords is not None and (
+                any(len(c) != 2 for c in self.chords)
+                or sorted(p for c in self.chords for p in c) != chord_ends):
+            raise DiagramError("chords must pair up the free external vertices")
         for p, refs in ext_seen.items():
             if len(refs) != 1:
                 raise DiagramError(f"external vertex {p} has degree != 1")
@@ -263,23 +272,15 @@ class CCD:
 
     @staticmethod
     def build(ext, vertex_targets, chords=()):
-        """Build a CCD; `chords` lists external-external edges (p, q).
-
-        Chords are stored in `ext_pairs` implicitly; to keep a single
-        uniform encoding we expand chords into the external target table.
-        """
-        return CCD(ext, tuple(tuple(v) for v in vertex_targets))._with_chords(chords)
-
-    def _with_chords(self, chords):
-        object.__setattr__(self, "_chords", tuple(tuple(sorted(c)) for c in chords))
-        return self
+        """Build a CCD; `chords` lists external-external edges (p, q)."""
+        return CCD(ext, tuple(tuple(v) for v in vertex_targets),
+                   tuple(tuple(sorted(c)) for c in chords))
 
     @property
     def chord_pairs(self):
         """External-external edges (sorted pairs)."""
-        got = getattr(self, "_chords", None)
-        if got is not None:
-            return got
+        if self.chords is not None:
+            return self.chords
         used = set()
         for slots in self.vertices:
             for tgt in slots:

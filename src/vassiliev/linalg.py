@@ -16,7 +16,7 @@ read-only, and `copy()` gives a writable span to extend.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .diagrams import ChordDiagram, DiagramSum, is_split
 from .errors import ConsistencyError, DiagramError
@@ -37,19 +37,21 @@ def _normalize(row):
 def _int_row(vec):
     """Clear denominators of a {col: Fraction|int} vector."""
     den = 1
-    for v in vec.values():
-        v = Fraction(v)
-        den = den * v.denominator // gcd(den, v.denominator)
-    out = {}
-    for c, v in vec.items():
-        v = Fraction(v) * den
-        if v != 0:
-            out[c] = int(v)
-    return out
+    try:
+        for v in vec.values():
+            den = lcm(den, v.denominator)
+    except AttributeError:
+        raise DiagramError("vector entries must be int or Fraction") from None
+    return {c: v.numerator * (den // v.denominator)
+            for c, v in vec.items() if v}
 
 
 def _eliminate(vec, pivots):
-    """Fraction-free reduction of an int row against pivot rows."""
+    """Fraction-free reduction of an int row against pivot rows.
+
+    Each step replaces the working copy by a * vec - b * pivot, in place
+    and over the pivot row's entries only; a is the pivot's lead entry.
+    """
     vec = dict(vec)
     while vec:
         c = min(vec)
@@ -58,12 +60,15 @@ def _eliminate(vec, pivots):
             return vec, c
         a = piv[c]
         b = vec[c]
-        new = {}
-        for col in set(vec) | set(piv):
-            val = a * vec.get(col, 0) - b * piv.get(col, 0)
+        if a != 1:
+            for col in vec:
+                vec[col] *= a
+        for col, v in piv.items():
+            val = vec.get(col, 0) - b * v
             if val:
-                new[col] = val
-        vec = new
+                vec[col] = val
+            else:
+                del vec[col]
     return {}, None
 
 
@@ -242,13 +247,21 @@ class WeightSystem:
         raise DiagramError("weight systems evaluate diagrams or sums")
 
     def annihilates(self, span: RelationSpan) -> bool:
-        for row in span.rows:
-            total = Fraction(0)
-            for col, v in row.items():
-                total += v * self.values.get(span.basis[col], Fraction(0))
-            if total != 0:
-                return False
-        return True
+        """Vanishes on every inserted row of `span`.
+
+        The values are scaled to integers once and indexed by column, so
+        each row is one integer sum.
+        """
+        den = 1
+        for v in self.values.values():
+            den = lcm(den, v.denominator)
+        by_col = [0] * len(span.basis)
+        for d, v in self.values.items():
+            col = span.index.get(d)
+            if col is not None:
+                by_col[col] = v.numerator * (den // v.denominator)
+        return all(sum(v * by_col[col] for col, v in row.items()) == 0
+                   for row in span.rows)
 
     def is_primitive(self) -> bool:
         """Vanishes on every split diagram of its order."""

@@ -30,12 +30,14 @@ Sign conventions are frozen here once and for all:
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 
 from .diagrams import (
     CCD,
     CHORD_ENUM_GUARD,
     ChordDiagram,
     DiagramSum,
+    _relabel_first_occurrence,
     enumerate_chord_diagrams,
     is_split,
 )
@@ -209,40 +211,66 @@ def _insert(word, pos, label):
 def four_t_relations(n: int):
     """All 4T relation vectors over the order-n basis (deduplicated).
 
-    Generated exhaustively: for every canonical diagram, every ordered
-    pair (fixed chord, moving chord) and every choice of moving endpoint.
+    For every canonical diagram, every moving endpoint x and every other
+    (fixed) chord.  The combos of one fixed-chord loop depend only on the
+    configuration left by removing x: the reduced word read from the
+    moving chord's other endpoint, relabelled in first-occurrence order,
+    since rotating or relabelling keeps the "+before / -after" pattern at
+    both fixed endpoints.  A configuration seen before is skipped whole.
+    Relations are kept once each, the first one met standing for all its
+    multiples, and returned in the order of their normalised keys.
     """
     if n < 2:
         raise DiagramError("4T relations need order >= 2")
     rels = {}
+    seen = set()
     for d in sorted(enumerate_chord_diagrams(n), key=lambda x: x.word):
         word = d.word
         labels = sorted(set(word))
         for moving in labels:
-            positions = [i for i, w in enumerate(word) if w == moving]
-            for x in positions:
+            first, second = (i for i, w in enumerate(word) if w == moving)
+            # x and the other endpoint's place once x is removed
+            for x, other in ((first, second - 1), (second, first)):
                 reduced = word[:x] + word[x + 1:]
+                config = _relabel_first_occurrence(
+                    reduced[other:] + reduced[:other])
+                if config in seen:
+                    continue
+                seen.add(config)
                 for fixed in labels:
                     if fixed == moving:
                         continue
                     p, q = (i for i, w in enumerate(reduced) if w == fixed)
-                    combo = DiagramSum()
-                    for pos, sgn in ((p, 1), (p + 1, -1), (q, 1), (q + 1, -1)):
-                        combo.add(
-                            ChordDiagram.from_word(_insert(reduced, pos, moving)),
-                            sgn)
-                    if combo.is_zero():
-                        continue
-                    key = _relation_key(combo)
-                    rels.setdefault(key, combo)
+                    terms = [
+                        (ChordDiagram.from_word(_insert(reduced, pos, moving)),
+                         sgn)
+                        for pos, sgn in ((p, 1), (p + 1, -1), (q, 1),
+                                         (q + 1, -1))]
+                    key = _combo_key(terms)
+                    if key and key not in rels:
+                        rels[key] = DiagramSum(terms)
     return [rels[k] for k in sorted(rels)]
 
 
-def _relation_key(combo: DiagramSum):
-    items = combo.items_sorted()
+def _combo_key(terms):
+    """The (diagram, int) terms summed, the nonzero ones sorted by word,
+    each coefficient divided by the first as a reduced (numerator,
+    denominator) pair with a positive denominator; () when all cancel."""
+    combo = {}
+    for d, c in terms:
+        combo[d.word] = combo.get(d.word, 0) + c
+    items = sorted((w, c) for w, c in combo.items() if c)
+    if not items:
+        return ()
     lead = items[0][1]
-    norm = [(d.word, c / lead) for d, c in items]
-    return tuple((w, q.numerator, q.denominator) for w, q in norm)
+    key = []
+    for w, c in items:
+        g = gcd(c, lead)
+        num, den = c // g, lead // g
+        if den < 0:
+            num, den = -num, -den
+        key.append((w, num, den))
+    return tuple(key)
 
 
 # ---------------------------------------------------------------------------

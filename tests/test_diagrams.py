@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -124,6 +127,29 @@ def test_ccd_canonical_idempotent_and_signs():
     canon3, sign3 = ccd_canonical_form(flipped)
     assert canon3 == canon
     assert sign3 == 1
+
+
+@pytest.mark.parametrize("ccd", [
+    CCD.build(4, (), [(0, 2), (1, 3)]),
+    CCD.build(5, [(("x", 0), ("x", 2), ("x", 1))], [(4, 3)]),
+])
+def test_ccd_replace_copy_pickle_keep_chords(ccd):
+    for clone in (dataclasses.replace(ccd), copy.copy(ccd),
+                  copy.deepcopy(ccd), pickle.loads(pickle.dumps(ccd))):
+        assert clone.chord_pairs == ccd.chord_pairs
+        assert clone == ccd and hash(clone) == hash(ccd)
+        assert clone.key() == ccd.key()
+
+
+@pytest.mark.parametrize("ext, vertices, chords", [
+    (4, (), [(0, 1)]),
+    (2, (), [(0, 0), (1, 1)]),
+    (4, (), [(0, 1, 2), (3,)]),
+    (5, [(("x", 0), ("x", 2), ("x", 1))], [(0, 3)]),
+])
+def test_ccd_rejects_chords_that_miss_the_free_ends(ext, vertices, chords):
+    with pytest.raises(DiagramError):
+        CCD.build(ext, vertices, chords)
 
 
 def test_ccd_roundtrip_random_rotations():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from vassiliev.diagrams import ChordDiagram, DiagramSum
 from vassiliev.errors import DiagramError
-from vassiliev.linalg import RelationSpan
+from vassiliev.linalg import RelationSpan, WeightSystem, _eliminate, _normalize
 from vassiliev.relations import four_t_relations, quotient_spans
 
 PRIMES = (2147483647, 2305843009213693951)  # both > 2^31
@@ -39,6 +39,16 @@ def test_member_dimension_mismatch():
     span = RelationSpan.over_order(2)
     with pytest.raises(DiagramError):
         span.member({5: 1})
+
+
+def test_inexact_entries_rejected():
+    span = RelationSpan.over_order(2)
+    for bad in (0.5, "1/2"):
+        with pytest.raises(DiagramError):
+            span.add({0: bad})
+        with pytest.raises(DiagramError):
+            span.member({0: 1, 1: bad})
+    assert span.rank == 0 and span.rows == []
 
 
 def test_quotient_dims_small():
@@ -127,3 +137,82 @@ def test_matrix_market_dump():
     assert lines[0].startswith("%%MatrixMarket")
     assert lines[1] == "1 2 2"
     assert lines[2:] == ["1 1 1", "1 2 -1"]
+
+
+# -- oracles for the in-place elimination and the integer annihilation check
+
+
+def eliminate_by_union(vec, pivots):
+    """Oracle for `_eliminate`: each step builds a new row over the union
+    of the working row's and the pivot row's columns."""
+    vec = dict(vec)
+    while vec:
+        c = min(vec)
+        piv = pivots.get(c)
+        if piv is None:
+            return vec, c
+        a, b = piv[c], vec[c]
+        new = {}
+        for col in set(vec) | set(piv):
+            val = a * vec.get(col, 0) - b * piv.get(col, 0)
+            if val:
+                new[col] = val
+        vec = new
+    return {}, None
+
+
+def annihilates_by_fractions(w, span):
+    """Oracle for `WeightSystem.annihilates`: a `Fraction` sum per row,
+    looking each column's diagram up in the values."""
+    for row in span.rows:
+        total = Fraction(0)
+        for col, v in row.items():
+            total += v * w.values.get(span.basis[col], Fraction(0))
+        if total != 0:
+            return False
+    return True
+
+
+small_rows = st.lists(st.dictionaries(st.integers(0, 6),
+                                      st.integers(-5, 5).filter(bool),
+                                      max_size=7), max_size=9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_rows, small_rows)
+def test_elimination_matches_union_oracle(rows, queries):
+    span = RelationSpan(tuple(range(7)))
+    pivots = {}
+    for r in rows:
+        span.add(r)
+        red, col = eliminate_by_union(r, pivots)
+        if col is not None:
+            pivots[col] = _normalize(red)
+    assert span.pivots == pivots
+    assert span.rank == len(pivots)
+    for q in rows + queries:
+        assert _eliminate(q, pivots) == eliminate_by_union(q, pivots)
+        assert span.member(q) == (eliminate_by_union(q, pivots)[1] is None)
+
+
+def perturbed(w, diagram, delta):
+    values = dict(w.values)
+    values[diagram] = values.get(diagram, 0) + delta
+    return WeightSystem(w.order, values)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_annihilates_matches_fraction_oracle(n):
+    rnd = random.Random(n)
+    answers = []
+    for span in quotient_spans(n):
+        for w in span.dual_basis():
+            assert w.annihilates(span) is True
+            assert annihilates_by_fractions(w, span)
+            cols = rnd.sample(range(len(span.basis)), min(4, len(span.basis)))
+            for col in cols:
+                for delta in (1, Fraction(-2, 3)):
+                    bent = perturbed(w, span.basis[col], delta)
+                    answers.append(bent.annihilates(span))
+                    assert answers[-1] == annihilates_by_fractions(bent, span)
+    assert False in answers

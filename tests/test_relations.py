@@ -7,6 +7,7 @@ from vassiliev.diagrams import (
     CCD,
     ChordDiagram,
     DiagramSum,
+    enumerate_chord_diagrams,
     enumerate_connected_ccds,
 )
 from vassiliev.errors import ConsistencyError, DiagramError
@@ -108,6 +109,48 @@ def test_stu_resolution_count():
     par, cro = stu_resolutions(theta(), 0)
     assert par.internal_count == 1 and cro.internal_count == 1
     assert par.ext == 3 and cro.ext == 3
+
+
+def four_t_relations_exhaustive(n):
+    """Oracle for `four_t_relations`: every (diagram, moving endpoint,
+    fixed chord) triple builds its combo through `DiagramSum`, and the
+    first combo met for each `Fraction`-normalised key is kept."""
+    rels = {}
+    for d in sorted(enumerate_chord_diagrams(n), key=lambda x: x.word):
+        word = d.word
+        labels = sorted(set(word))
+        for moving in labels:
+            for x in [i for i, w in enumerate(word) if w == moving]:
+                reduced = word[:x] + word[x + 1:]
+                for fixed in labels:
+                    if fixed == moving:
+                        continue
+                    p, q = (i for i, w in enumerate(reduced) if w == fixed)
+                    combo = DiagramSum()
+                    for pos, sgn in ((p, 1), (p + 1, -1), (q, 1), (q + 1, -1)):
+                        combo.add(ChordDiagram.from_word(
+                            reduced[:pos] + (moving,) + reduced[pos:]), sgn)
+                    if combo.is_zero():
+                        continue
+                    items = combo.items_sorted()
+                    lead = items[0][1]
+                    key = tuple((d.word, (c / lead).numerator,
+                                 (c / lead).denominator) for d, c in items)
+                    rels.setdefault(key, combo)
+    return [rels[k] for k in sorted(rels)]
+
+
+def as_listed(rels):
+    """Each relation's order and its terms in insertion order."""
+    return [(r.order, [(d, c, type(c)) for d, c in r.terms.items()])
+            for r in rels]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_four_t_matches_exhaustive_oracle(n):
+    got, want = four_t_relations(n), four_t_relations_exhaustive(n)
+    assert got == want
+    assert as_listed(got) == as_listed(want)
 
 
 def test_four_t_order2_collapses():
