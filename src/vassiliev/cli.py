@@ -45,8 +45,7 @@ def cmd_dims(args):
 
     n = args.n
     if not 2 <= n <= 6:
-        print("dims supports 2 <= n <= 6", file=sys.stderr)
-        return 2
+        raise ResourceGuardError("dims supports 2 <= n <= 6")
     _print_header(args)
     span4, full = quotient_spans(n)
     print(json.dumps({
@@ -62,8 +61,7 @@ def cmd_bounds(args):
     from .bounds import bound_table
 
     if args.n_max < 3:
-        print("bounds requires --n-max >= 3", file=sys.stderr)
-        return 2
+        raise DiagramError("bounds requires --n-max >= 3")
     rows = bound_table(args.n_max)
     _print_header(args)
     if args.format == "csv":
@@ -143,10 +141,10 @@ def cmd_ribbon(args):
         print(code.to_text())
         print(scheme.to_json())
         return 0
-    # verify
-    simplify_budget()  # reject a bad budget before any output
-    _print_header(args)
+    # verify; reject bad input before any output
     code, scheme = ribbon_gauss_code(sigma)
+    simplify_budget()
+    _print_header(args)
     checks = {"realizable": code.is_realizable()}
     n = len(sigma)
     if n <= 3:
@@ -170,8 +168,9 @@ def cmd_ohyama(args):
     from .ribbon import ohyama_diagrams, verify_ohyama_identity
 
     sigma = _parse_sigma(args.sigma)
+    diagrams = ohyama_diagrams(sigma)
     _print_header(args)
-    for sign, d in ohyama_diagrams(sigma):
+    for sign, d in diagrams:
         print(f"{'+' if sign > 0 else '-'}1 {d.as_text()}")
     if len(sigma) in (2, 3, 4):
         ok = verify_ohyama_identity(sigma)

@@ -91,31 +91,8 @@ class ChordDiagram:
                 first[lab] = pos
         return out
 
-    def partner(self):
-        """Map position -> position of the other endpoint of its chord."""
-        where = {}
-        partner = [None] * len(self.word)
-        for pos, lab in enumerate(self.word):
-            if lab in where:
-                partner[pos] = where[lab]
-                partner[where[lab]] = pos
-            else:
-                where[lab] = pos
-        return partner
-
     def __str__(self):
         return self.as_text()
-
-
-def canonical_chord_form(d: ChordDiagram) -> ChordDiagram:
-    """Canonical representative (idempotent; rotation/relabel invariant)."""
-    return ChordDiagram.from_word(d.word)
-
-
-def chords_cross(a, b) -> bool:
-    """Do chords a=(a0,a1), b=(b0,b1) interleave on the circle?"""
-    a0, a1 = sorted(a)
-    return (a0 < b[0] < a1) != (a0 < b[1] < a1)
 
 
 def _matchings(points):
@@ -298,6 +275,43 @@ class CCD:
     def from_chord_diagram(d: ChordDiagram) -> "CCD":
         return CCD.build(2 * d.n, (), d.chords())
 
+    def pairing(self):
+        """Symmetric half-edge pairing; ends are ("x", p) or ("v", i, s)."""
+        pairing = {}
+        for i, slots in enumerate(self.vertices):
+            for s, tgt in enumerate(slots):
+                pairing[("v", i, s)] = tgt
+                if tgt[0] == "x":
+                    pairing[tgt] = ("v", i, s)
+        for a, b in self.chord_pairs:
+            pairing[("x", a)] = ("x", b)
+            pairing[("x", b)] = ("x", a)
+        return pairing
+
+    @staticmethod
+    def from_pairing(pairing) -> "CCD":
+        """Build a CCD from a symmetric half-edge pairing.
+
+        External positions and internal vertex ids are renumbered from 0
+        in sorted order, so a surgery names a new point between p and p+1
+        as p + 0.5 and deletes a vertex by dropping its ends.
+        """
+        pos = {p: k for k, p in enumerate(
+            sorted(end[1] for end in pairing if end[0] == "x"))}
+        ids = {j: k for k, j in enumerate(
+            sorted({end[1] for end in pairing if end[0] == "v"}))}
+        table = [[None] * 3 for _ in ids]
+        chords = []
+        for end, tgt in pairing.items():
+            if end[0] == "x":
+                if tgt[0] == "x" and end[1] < tgt[1]:
+                    chords.append((pos[end[1]], pos[tgt[1]]))
+            elif tgt[0] == "x":
+                table[ids[end[1]]][end[2]] = ("x", pos[tgt[1]])
+            else:
+                table[ids[end[1]]][end[2]] = ("v", ids[tgt[1]], tgt[2])
+        return CCD.build(len(pos), table, sorted(chords))
+
     @property
     def order(self) -> int:
         return (self.ext + len(self.vertices)) // 2
@@ -381,7 +395,7 @@ class CCD:
                     out.append(symbol(self.vertices[j][s_abs]))
         if len(label) != len(self.vertices):
             raise DiagramError("CCD graph is disconnected")
-        return tuple(out)
+        return tuple(out), label
 
     def canonical(self):
         """(canonical CCD, sign, as_null).
@@ -394,6 +408,7 @@ class CCD:
         cached = getattr(self, "_canon", None)
         if cached is not None:
             return cached
+        E = self.ext
         I = len(self.vertices)
         best = None
         best_sign = 1
@@ -401,15 +416,29 @@ class CCD:
         for mask in range(1 << I):
             flips = [(mask >> i) & 1 for i in range(I)]
             parity = -1 if sum(flips) % 2 else 1
-            for r in range(self.ext):
-                cert = self._certificate(r, flips)
+            for r in range(E):
+                cert, label = self._certificate(r, flips)
                 if best is None or cert < best:
                     best = cert
                     best_sign = parity
                     parities = {parity}
+                    winner = (r, flips, label)
                 elif cert == best:
                     parities.add(parity)
-        canon = _ccd_from_certificate(self.ext, best)
+        # relabel by the winning traversal: external p -> p - r, vertex j
+        # -> its label, each slot -> its effective slot minus the entry slot
+        r, flips, label = winner
+
+        def relabel(end):
+            if end[0] == "x":
+                return ("x", (end[1] - r) % E)
+            _, j, s = end
+            lab, entry = label[j]
+            eff = _FLIP_EFF[s] if flips[j] else s
+            return ("v", lab, (eff - entry) % 3)
+
+        canon = CCD.from_pairing({relabel(end): relabel(tgt)
+                                  for end, tgt in self.pairing().items()})
         result = (canon, best_sign, len(parities) == 2)
         object.__setattr__(self, "_canon", result)
         return result
@@ -422,7 +451,7 @@ class CCD:
     def rigid_key(self):
         """Isomorphism key that respects vertex orientations (no flips)."""
         flips = [0] * len(self.vertices)
-        return min(self._certificate(r, flips) for r in range(self.ext))
+        return min(self._certificate(r, flips)[0] for r in range(self.ext))
 
     def __hash__(self):
         return hash((self.ext, self.vertices, self.chord_pairs))
@@ -456,75 +485,10 @@ class CCD:
         }
 
 
-def _ccd_from_certificate(ext, cert):
-    """Rebuild the canonical CCD back from a traversal certificate."""
-    cert = list(cert)
-    pos = 0
-    vertices = {}
-    chords = set()
-    entry_of = {}
-
-    def read_targets(owner_sym):
-        nonlocal pos
-        lab = owner_sym[1]
-        for k in (1, 2):
-            sym = cert[pos]
-            pos += 1
-            slot = (entry_of[lab] + k) % 3
-            _attach(lab, slot, sym)
-
-    pending = []
-
-    def _attach(lab, slot, sym):
-        if sym[0] == 0:
-            vertices[(lab, slot)] = ("x", sym[1])
-        elif sym[0] == 1:
-            other, delta = sym[1], sym[2]
-            oslot = (entry_of[other] + delta) % 3
-            vertices[(lab, slot)] = ("v", other, oslot)
-        else:
-            new = sym[1]
-            entry_of[new] = 0
-            vertices[(lab, slot)] = ("v", new, 0)
-            vertices[(new, 0)] = ("v", lab, slot)
-            pending.append(sym)
-
-    p = 0
-    while pos < len(cert):
-        sym = cert[pos]
-        pos += 1
-        if sym[0] == 0:
-            a, b = p, sym[1]
-            chords.add((min(a, b), max(a, b)))
-        elif sym[0] == 2:
-            new = sym[1]
-            entry_of[new] = 0
-            vertices[(new, 0)] = ("x", p)
-            pending.append(sym)
-        else:
-            # edge to an already-discovered vertex; recorded from its side
-            lab, delta = sym[1], sym[2]
-            vertices[(lab, (entry_of[lab] + delta) % 3)] = ("x", p)
-        while pending:
-            read_targets(pending.pop(0))
-        p += 1
-
-    nv = 1 + max((lab for lab, _ in vertices), default=-1)
-    table = []
-    for i in range(nv):
-        table.append(tuple(vertices[(i, s)] for s in range(3)))
-    return CCD.build(ext, table, sorted(chords))
-
-
 def ccd_canonical_form(c: CCD):
     """(canonical CCD, sign) under rotation/relabel/orientation moves."""
     canon, sign, _ = c.canonical()
     return canon, sign
-
-
-def ccd_is_null(c: CCD) -> bool:
-    """True when c admits an orientation-reversing automorphism (so 2c = 0)."""
-    return c.canonical()[2]
 
 
 def is_connected_ccd(c: CCD) -> bool:
@@ -588,9 +552,7 @@ class DiagramSum:
                 if null:
                     return self
                 diagram, coeff = canon, coeff * sign
-        elif isinstance(diagram, ChordDiagram):
-            diagram = canonical_chord_form(diagram)
-        else:
+        elif not isinstance(diagram, ChordDiagram):
             raise DiagramError("DiagramSum holds ChordDiagram or CCD terms")
         order = diagram.n if isinstance(diagram, ChordDiagram) else diagram.order
         if self.order is None:
@@ -657,37 +619,27 @@ class DiagramSum:
 # checks); guarded since the matching space grows factorially.
 # ---------------------------------------------------------------------------
 
-def _build_ccd_from_matching(E, I, pairs):
-    table = [[None] * 3 for _ in range(I)]
-    chords = []
-    for a, b in pairs:
-        if a[0] == "x" and b[0] == "x":
-            chords.append((a[1], b[1]))
-        elif a[0] == "x":
-            table[b[1]][b[2]] = ("x", a[1])
-        elif b[0] == "x":
-            table[a[1]][a[2]] = ("x", b[1])
-        else:
-            table[a[1]][a[2]] = ("v", b[1], b[2])
-            table[b[1]][b[2]] = ("v", a[1], a[2])
+def _build_ccd_from_matching(pairs):
+    pairing = dict(pairs)
+    pairing.update((b, a) for a, b in pairs)
     try:
-        ccd = CCD.build(E, [tuple(v) for v in table], chords)
+        ccd = CCD.from_pairing(pairing)
     except DiagramError:
         return None
     # require the whole graph connected (reachability from the circle)
-    if I:
-        seen = set()
-        stack = [j for j in range(I)
-                 if any(t[0] == "x" for t in table[j])]
-        seen.update(stack)
-        while stack:
-            j = stack.pop()
-            for t in table[j]:
-                if t[0] == "v" and t[1] not in seen:
-                    seen.add(t[1])
-                    stack.append(t[1])
-        if len(seen) != I:
-            return None
+    table = ccd.vertices
+    seen = set()
+    stack = [j for j, slots in enumerate(table)
+             if any(t[0] == "x" for t in slots)]
+    seen.update(stack)
+    while stack:
+        j = stack.pop()
+        for t in table[j]:
+            if t[0] == "v" and t[1] not in seen:
+                seen.add(t[1])
+                stack.append(t[1])
+    if len(seen) != len(table):
+        return None
     return ccd
 
 
@@ -701,7 +653,6 @@ def _matchings_canonically_labelled(E, I):
     ends = [("x", p) for p in range(E)]
     for j in range(I):
         ends.extend((("v", j, s) for s in range(3)))
-    order = {e: i for i, e in enumerate(ends)}
 
     def rec(unpaired, touched, acc):
         if not unpaired:
@@ -748,7 +699,7 @@ def sample_connected_ccds(n: int, count: int, seed: int = 0):
             ends.extend((("v", j, s) for s in range(3)))
         rnd.shuffle(ends)
         pairs = [(ends[i], ends[i + 1]) for i in range(0, len(ends), 2)]
-        ccd = _build_ccd_from_matching(E, I, pairs)
+        ccd = _build_ccd_from_matching(pairs)
         if ccd is None or not is_connected_ccd(ccd):
             continue
         canon, _, null = ccd.canonical()
@@ -777,7 +728,7 @@ def enumerate_connected_ccds(n: int):
         if E < 1:
             continue
         for m in _matchings_canonically_labelled(E, I):
-            ccd = _build_ccd_from_matching(E, I, m)
+            ccd = _build_ccd_from_matching(m)
             if ccd is None or not is_connected_ccd(ccd):
                 continue
             canon, _, _ = ccd.canonical()

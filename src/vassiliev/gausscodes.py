@@ -339,7 +339,6 @@ def alexander_det(code: GaussCode) -> int:
     c = len(unders)
     if c == 1:
         return 1
-    arc_from_under = {pos: k for k, pos in enumerate(unders)}
 
     def arc_at(i):
         """Arc index active at position i (arc k starts after unders[k])."""

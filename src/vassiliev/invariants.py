@@ -281,7 +281,6 @@ def kauffman_bracket(code: GaussCode) -> dict:
     at = {}
     for i, p in enumerate(ps):
         at.setdefault(p.crossing, []).append(i)
-    delta_pow = {}
 
     def loops(choice):
         parent = list(range(m))  # arcs: arc i runs from passage i to i+1

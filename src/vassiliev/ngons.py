@@ -30,14 +30,7 @@ from itertools import permutations
 
 from .diagrams import CCD, DiagramSum, is_connected_ccd
 from .errors import ConsistencyError, DiagramError, ResourceGuardError
-from .relations import (
-    _ccd_from_pairing,
-    _pairing_of,
-    _renumber_externals,
-    ihx_pieces,
-    quotient_spans,
-    stu_expand,
-)
+from .relations import ihx_pieces, quotient_spans, stu_expand
 
 NGON_ENUM_GUARD = 8
 
@@ -158,73 +151,45 @@ def fuse_adjacent_legs(ccd: CCD, p: int):
     Returns (fused, swapped):  ccd == fused + swapped  under the frozen STU
     convention (the fused diagram resolves back to "ccd minus swapped").
     """
-    E = ccd.ext
-    q = (p + 1) % E
-    t1 = ccd.external_target(p)
-    t2 = ccd.external_target(q)
-    if t1[0] != "v" or t2[0] != "v":
+    q = (p + 1) % ccd.ext
+    far1 = ccd.external_target(p)   # leg at the early position
+    far2 = ccd.external_target(q)
+    if far1[0] != "v" or far2[0] != "v":
         raise DiagramError("fusion needs internal legs at both positions")
-    pairing = _pairing_of(ccd)
-    far1 = pairing[("x", p)]   # leg at the early position
-    far2 = pairing[("x", q)]
-    for end in (("x", p), ("x", q), far1, far2):
-        pairing.pop(end, None)
-    # merge the two positions into one external vertex
-    if q == 0:
-        posmap = {old: old - 1 for old in range(1, E - 1)}
-        new_pos = E - 2
-    else:
-        posmap = {}
-        for old in range(E):
-            if old in (p, q):
-                continue
-            posmap[old] = old if old < p else old - 1
-        new_pos = p
-    pairing = _renumber_externals(pairing, posmap)
+    pairing = ccd.pairing()
+    # the two positions merge into one external vertex, which keeps key p
+    del pairing[("x", q)]
     v_new = len(ccd.vertices)
     # cyclic order (stem, h1, h2) with h2 -> early leg, h1 -> late leg
-    pairing[("v", v_new, 0)] = ("x", new_pos)
-    pairing[("x", new_pos)] = ("v", v_new, 0)
-    pairing[("v", v_new, 1)] = far2
-    pairing[far2] = ("v", v_new, 1)
-    pairing[("v", v_new, 2)] = far1
-    pairing[far1] = ("v", v_new, 2)
-    fused = _ccd_from_pairing(E - 1, v_new + 1, pairing)
+    for s, end in enumerate((("x", p), far2, far1)):
+        pairing[("v", v_new, s)] = end
+        pairing[end] = ("v", v_new, s)
+    fused = CCD.from_pairing(pairing)
 
     swapped = _swap_external_targets(ccd, p, q)
     return fused, swapped
 
 
 def _swap_external_targets(ccd: CCD, p: int, q: int) -> CCD:
-    pairing = _pairing_of(ccd)
+    pairing = ccd.pairing()
     fp, fq = pairing[("x", p)], pairing[("x", q)]
     pairing[("x", p)] = fq
     pairing[fq] = ("x", p)
     pairing[("x", q)] = fp
     pairing[fp] = ("x", q)
-    return _ccd_from_pairing(ccd.ext, len(ccd.vertices), pairing)
+    return CCD.from_pairing(pairing)
 
 
 def add_chord_length_two(c: CCD, pos: int) -> CCD:
     """Insert a chord sandwiching exactly the external vertex at `pos`."""
     if not is_connected_ccd(c):
         raise DiagramError("chord-of-length-two insertion needs a connected CCD")
-    E = c.ext
-    if not 0 <= pos < E:
+    if not 0 <= pos < c.ext:
         raise DiagramError("position out of range")
-    pairing = _pairing_of(c)
-    posmap = {}
-    for old in range(E):
-        if old < pos:
-            posmap[old] = old
-        elif old == pos:
-            posmap[old] = pos + 1
-        else:
-            posmap[old] = old + 2
-    pairing = _renumber_externals(pairing, posmap)
-    pairing[("x", pos)] = ("x", pos + 2)
-    pairing[("x", pos + 2)] = ("x", pos)
-    return _ccd_from_pairing(E + 2, len(c.vertices), pairing)
+    pairing = c.pairing()
+    pairing[("x", pos - 0.5)] = ("x", pos + 0.5)
+    pairing[("x", pos + 0.5)] = ("x", pos - 0.5)
+    return CCD.from_pairing(pairing)
 
 
 # ---------------------------------------------------------------------------

@@ -46,75 +46,6 @@ from .linalg import RelationSpan
 
 
 # ---------------------------------------------------------------------------
-# half-edge surgery helpers
-# ---------------------------------------------------------------------------
-
-def _pairing_of(ccd: CCD):
-    """Symmetric half-edge pairing; ends are ("x", p) or ("v", i, s)."""
-    pairing = {}
-    for i, slots in enumerate(ccd.vertices):
-        for s, tgt in enumerate(slots):
-            pairing[("v", i, s)] = tgt if tgt[0] == "v" else ("x", tgt[1])
-            if tgt[0] == "x":
-                pairing[("x", tgt[1])] = ("v", i, s)
-    for a, b in ccd.chord_pairs:
-        pairing[("x", a)] = ("x", b)
-        pairing[("x", b)] = ("x", a)
-    return pairing
-
-
-def _ccd_from_pairing(ext, n_internal, pairing):
-    table = [[None] * 3 for _ in range(n_internal)]
-    chords = set()
-    for end, tgt in pairing.items():
-        if end[0] == "v":
-            table[end[1]][end[2]] = tgt
-        elif tgt[0] == "x":
-            chords.add((min(end[1], tgt[1]), max(end[1], tgt[1])))
-    return CCD.build(ext, [tuple(r) for r in table], sorted(chords))
-
-
-def _renumber_externals(pairing, posmap):
-    """Apply a position remap {old: new} to all ("x", p) ends."""
-    out = {}
-    for end, tgt in pairing.items():
-        if end[0] == "x":
-            end = ("x", posmap[end[1]])
-        if tgt[0] == "x":
-            tgt = ("x", posmap[tgt[1]])
-        out[end] = tgt
-    return out
-
-
-def _drop_vertex_renumber(pairing, removed):
-    """Renumber internal vertices after deleting `removed` (a set)."""
-    keep = {}
-    new_index = {}
-    idx = 0
-    seen = {v for v in removed}
-    all_ids = sorted({e[1] for e in pairing if e[0] == "v"} |
-                     {t[1] for t in pairing.values() if t[0] == "v"})
-    for i in all_ids:
-        if i not in seen:
-            new_index[i] = idx
-            idx += 1
-
-    def remap(end):
-        if end[0] == "v":
-            return ("v", new_index[end[1]], end[2])
-        return end
-
-    for end, tgt in pairing.items():
-        if end[0] == "v" and end[1] in seen:
-            continue
-        t = tgt
-        if t[0] == "v" and t[1] in seen:
-            raise DiagramError("dangling reference to removed vertex")
-        keep[remap(end)] = remap(t)
-    return keep, idx
-
-
-# ---------------------------------------------------------------------------
 # STU
 # ---------------------------------------------------------------------------
 
@@ -127,40 +58,25 @@ def stu_resolutions(ccd: CCD, p: int):
     if tgt[0] != "v":
         raise DiagramError("external vertex is on a chord, nothing to resolve")
     _, v, stem = tgt
-    h1 = ccd.vertices[v][(stem + 1) % 3]
-    h2 = ccd.vertices[v][(stem + 2) % 3]
-    E = ccd.ext
-    # new external positions: p -> (p, p+1), later points shift by one
-    posmap = {q: (q if q < p else q + 1) for q in range(E)}
-    early, late = p, p + 1
 
     def reattach(first, second):
-        # first : far end of h2-edge -> early ; second : h1-edge -> late
-        pairing = _pairing_of(ccd)
+        # far end of the h2 edge -> first ; far end of the h1 edge -> second
+        pairing = ccd.pairing()
         far1 = pairing[("v", v, (stem + 2) % 3)]
         far2 = pairing[("v", v, (stem + 1) % 3)]
-        for end in [("v", v, 0), ("v", v, 1), ("v", v, 2), ("x", p)]:
-            pairing.pop(end, None)
-        # handle the self-loop at v: both far ends are v itself
-        if far1[0] == "v" and far1[1] == v and far2[0] == "v" and far2[1] == v:
-            far1, far2 = ("x", p), None  # loop becomes a chord early-late
-        pairing = {e: t for e, t in pairing.items()
-                   if not (e[0] == "v" and e[1] == v)
-                   and not (t[0] == "v" and t[1] == v)}
-        pairing = _renumber_externals(pairing, posmap)
-        if far2 is None:
-            pairing[("x", first)] = ("x", second)
-            pairing[("x", second)] = ("x", first)
-        else:
-            for far, newpos in ((far1, first), (far2, second)):
-                far = (far if far[0] == "v" else ("x", posmap[far[1]]))
-                pairing[far] = ("x", newpos)
-                pairing[("x", newpos)] = far
-        pairing, n_int = _drop_vertex_renumber(pairing, {v})
-        return _ccd_from_pairing(E + 1, n_int, pairing)
+        for end in (("v", v, 0), ("v", v, 1), ("v", v, 2), ("x", p)):
+            del pairing[end]
+        if far1[0] == "v" and far1[1] == v:
+            # a loop at v (h1 joined to h2) becomes a chord first-second
+            far1, far2 = ("x", second), ("x", first)
+        for far, new in ((far1, first), (far2, second)):
+            pairing[far] = ("x", new)
+            pairing[("x", new)] = far
+        return CCD.from_pairing(pairing)
 
-    parallel = reattach(early, late)
-    crossed = reattach(late, early)
+    # the early point keeps key p, the late one goes between p and p + 1
+    parallel = reattach(p, p + 0.5)
+    crossed = reattach(p + 0.5, p)
     return parallel, crossed
 
 
@@ -283,7 +199,7 @@ def _rewire(ccd: CCD, v, w, v_legs, w_legs):
     Legs are given as the original slot references ("v", vertex, slot) of
     the four non-edge half-edges at v and w.
     """
-    pairing = _pairing_of(ccd)
+    pairing = ccd.pairing()
     far = {leg: pairing[leg] for leg in v_legs + w_legs}
     legs = set(v_legs + w_legs)
     new_slot = {}
@@ -304,8 +220,7 @@ def _rewire(ccd: CCD, v, w, v_legs, w_legs):
         else:
             pairing[mine] = f
             pairing[f] = mine
-    n_int = len(ccd.vertices)
-    return _ccd_from_pairing(ccd.ext, n_int, pairing)
+    return CCD.from_pairing(pairing)
 
 
 def ihx_pieces(c: CCD, edge):

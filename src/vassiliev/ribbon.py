@@ -306,6 +306,8 @@ def ohyama_diagrams(sigma):
     """
     sigma = check_perm(sigma)
     n = len(sigma)
+    if n < 2:
+        raise DiagramError("the family starts at order 2")
     if sigma[0] != 1:
         raise DiagramError("canonical representative required")
     b = [0] * (n + 1)

@@ -105,6 +105,13 @@ def test_unknown_flag_exits_2():
     (["selftest"], {"VASSILIEV_SIMPLIFY_BUDGET": "abc"}),
     (["ngons", "--n", "9"], {}),
     (["bounds", "--n-max", "41"], {}),
+    (["ohyama", "--sigma", "2,1,3"], {}),
+    (["ohyama", "--sigma", "1,1,2"], {}),
+    (["ohyama", "--sigma", "1"], {}),
+    (["ribbon", "verify", "--sigma", "2,1,3"], {}),
+    (["ribbon", "verify", "--sigma", "1"], {}),
+    (["dims", "--n", "7"], {}),
+    (["bounds", "--n-max", "2"], {}),
 ])
 def test_bad_input_exits_2_with_one_line(argv, env):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))

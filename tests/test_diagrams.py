@@ -10,7 +10,6 @@ from vassiliev.diagrams import (
     CCD,
     ChordDiagram,
     DiagramSum,
-    canonical_chord_form,
     ccd_canonical_form,
     count_chord_diagrams_burnside,
     enumerate_chord_diagrams,
@@ -49,7 +48,7 @@ def random_words(draw):
 @given(random_words(), st.integers(min_value=0, max_value=9))
 def test_canonical_form_invariance(word, rot):
     d = ChordDiagram.from_word(word)
-    assert canonical_chord_form(d) == d  # idempotent
+    assert ChordDiagram.from_word(d.word) == d  # idempotent
     r = rot % len(word)
     rotated = ChordDiagram.from_word(word[r:] + word[:r])
     assert rotated == d
@@ -154,11 +153,54 @@ def test_ccd_rejects_chords_that_miss_the_free_ends(ext, vertices, chords):
 
 def test_ccd_roundtrip_random_rotations():
     rnd = random.Random(7)
-    for d in sorted(enumerate_chord_diagrams(3), key=lambda x: x.word):
-        c = CCD.from_chord_diagram(d)
-        canon, sign, null = c.canonical()
-        assert sign == 1 and not null
-        assert canon.to_chord_diagram() == d
+    for n in (3, 4):
+        for d in sorted(enumerate_chord_diagrams(n), key=lambda x: x.word):
+            r = rnd.randrange(2 * n)
+            labels = rnd.sample(range(1, n + 1), n)
+            word = [labels[w - 1] for w in d.word[r:] + d.word[:r]]
+            chords = [tuple(p for p, w in enumerate(word) if w == lab)
+                      for lab in range(1, n + 1)]
+            canon, sign, null = CCD.build(2 * n, (), chords).canonical()
+            assert sign == 1 and not null
+            assert canon == CCD.from_chord_diagram(d).canonical()[0]
+            assert canon.to_chord_diagram() == d
+
+
+def _scrambled(c, rnd):
+    """c rotated, its vertices renumbered, their slots turned and some of
+    them flipped; returns the copy and the sign of its flips."""
+    E, I = c.ext, len(c.vertices)
+    r = rnd.randrange(E)
+    ids = rnd.sample(range(I), I)
+    turn = [rnd.randrange(3) for _ in range(I)]
+    flip = [rnd.randrange(2) for _ in range(I)]
+
+    def move(end):
+        if end[0] == "x":
+            return ("x", (end[1] + r) % E)
+        _, j, s = end
+        s = (s + turn[j]) % 3
+        return ("v", ids[j], -s % 3 if flip[j] else s)
+
+    pairing = {move(end): move(tgt) for end, tgt in c.pairing().items()}
+    return CCD.from_pairing(pairing), (-1) ** sum(flip)
+
+
+def test_canonical_form_is_the_min_certificate_and_a_fixed_point():
+    rnd = random.Random(11)
+    ccds = [c for n in range(1, 5) for c in enumerate_connected_ccds(n)]
+    ccds += sample_connected_ccds(5, 40)
+    for c in ccds:
+        moved, flip_sign = _scrambled(c, rnd)
+        canon, sign, null = moved.canonical()
+        assert canon == c
+        assert canon.canonical()[:2] == (canon, 1)
+        I = len(c.vertices)
+        best = min(moved._certificate(r, [(m >> i) & 1 for i in range(I)])[0]
+                   for m in range(1 << I) for r in range(moved.ext))
+        assert canon._certificate(0, [0] * I)[0] == best
+        if not null:
+            assert sign == flip_sign
 
 
 def test_is_connected_ccd():

@@ -14,7 +14,8 @@ from vassiliev.ngons import (
     reduce_tree_to_ngons,
     tree_ccd,
 )
-from vassiliev.relations import quotient_spans, stu_expand
+from vassiliev.relations import (ihx_pieces, quotient_spans, stu_expand,
+                                 stu_resolutions)
 
 
 def relation_span(n):
@@ -148,3 +149,91 @@ def test_add_chord_placement_independence_order3():
     images = [stu_expand(add_chord_length_two(g, pos)) for pos in range(g.ext)]
     for other in images[1:]:
         assert span4.member(images[0] - other)
+
+
+TREE = tree_ccd((0, 2, 4, 1, 3))
+GON = complete_ngon((1, 3, 2, 4))
+TADPOLE = CCD.build(1, [(("x", 0), ("v", 0, 2), ("v", 0, 1))])
+
+
+# Raw outputs, vertex numbering included: `reduce` traces print these ids.
+@pytest.mark.parametrize("surgery, ccd, arg, expected", [
+    (stu_resolutions, TREE, 1, [
+        (6, ((("x", 0), ("x", 3), ("v", 1, 0)),
+             (("v", 0, 2), ("x", 5), ("x", 1))), ((2, 4),)),
+        (6, ((("x", 0), ("x", 3), ("v", 1, 0)),
+             (("v", 0, 2), ("x", 5), ("x", 2))), ((1, 4),))]),
+    (stu_resolutions, GON, 2, [
+        (5, ((("x", 0), ("x", 2), ("v", 2, 1)),
+             (("x", 1), ("v", 2, 2), ("x", 3)),
+             (("x", 4), ("v", 0, 2), ("v", 1, 1))), ()),
+        (5, ((("x", 0), ("x", 3), ("v", 2, 1)),
+             (("x", 1), ("v", 2, 2), ("x", 2)),
+             (("x", 4), ("v", 0, 2), ("v", 1, 1))), ())]),
+    (stu_resolutions, TADPOLE, 0, [(2, (), ((0, 1),)), (2, (), ((0, 1),))]),
+    (fuse_adjacent_legs, TREE, 1, [
+        (4, ((("x", 0), ("v", 3, 1), ("v", 1, 0)),
+             (("v", 0, 2), ("x", 3), ("v", 2, 0)),
+             (("v", 1, 2), ("v", 3, 2), ("x", 2)),
+             (("x", 1), ("v", 0, 1), ("v", 2, 1))), ()),
+        (5, ((("x", 0), ("x", 1), ("v", 1, 0)),
+             (("v", 0, 2), ("x", 4), ("v", 2, 0)),
+             (("v", 1, 2), ("x", 2), ("x", 3))), ())]),
+    (fuse_adjacent_legs, TREE, 4, [
+        (4, ((("v", 3, 1), ("x", 1), ("v", 1, 0)),
+             (("v", 0, 2), ("v", 3, 2), ("v", 2, 0)),
+             (("v", 1, 2), ("x", 0), ("x", 2)),
+             (("x", 3), ("v", 0, 0), ("v", 1, 1))), ()),
+        (5, ((("x", 4), ("x", 2), ("v", 1, 0)),
+             (("v", 0, 2), ("x", 0), ("v", 2, 0)),
+             (("v", 1, 2), ("x", 1), ("x", 3))), ())]),
+    (ihx_pieces, GON, (0, 1), [
+        (4, ((("v", 1, 0), ("v", 3, 1), ("x", 0)),
+             (("v", 0, 0), ("x", 2), ("v", 2, 2)),
+             (("x", 1), ("v", 3, 2), ("v", 1, 2)),
+             (("x", 3), ("v", 0, 1), ("v", 2, 1))), ()),
+        (4, ((("v", 1, 0), ("v", 2, 2), ("v", 3, 1)),
+             (("v", 0, 0), ("x", 0), ("x", 2)),
+             (("x", 1), ("v", 3, 2), ("v", 0, 1)),
+             (("x", 3), ("v", 0, 2), ("v", 2, 1))), ()),
+        (4, ((("v", 1, 0), ("x", 2), ("v", 3, 1)),
+             (("v", 0, 0), ("x", 0), ("v", 2, 2)),
+             (("x", 1), ("v", 3, 2), ("v", 1, 2)),
+             (("x", 3), ("v", 0, 2), ("v", 2, 1))), ())]),
+    (add_chord_length_two, TREE, 0, [
+        (7, ((("x", 1), ("x", 4), ("v", 1, 0)),
+             (("v", 0, 2), ("x", 6), ("v", 2, 0)),
+             (("v", 1, 2), ("x", 3), ("x", 5))), ((0, 2),))]),
+    (add_chord_length_two, GON, 3, [
+        (6, ((("x", 0), ("v", 1, 2), ("v", 3, 1)),
+             (("x", 2), ("v", 2, 2), ("v", 0, 1)),
+             (("x", 1), ("v", 3, 2), ("v", 1, 1)),
+             (("x", 4), ("v", 0, 2), ("v", 2, 1))), ((3, 5),))]),
+])
+def test_surgery_outputs_pinned(surgery, ccd, arg, expected):
+    out = surgery(ccd, arg)
+    out = out if isinstance(out, tuple) else (out,)
+    assert [(c.ext, c.vertices, c.chord_pairs) for c in out] == expected
+
+
+@pytest.mark.parametrize("ccd, expected", [
+    (TREE, ((5, ((("x", 0), ("x", 2), ("v", 1, 0)),
+                 (("v", 0, 2), ("x", 3), ("v", 2, 0)),
+                 (("v", 1, 2), ("x", 1), ("x", 4))), ()), 1, False)),
+    (tree_ccd((0, 1, 2, 4, 3)),
+     ((5, ((("x", 0), ("x", 1), ("v", 1, 0)),
+           (("v", 0, 2), ("x", 2), ("v", 2, 0)),
+           (("v", 1, 2), ("x", 3), ("x", 4))), ()), -1, False)),
+    (GON, ((4, ((("x", 0), ("v", 1, 0), ("v", 2, 0)),
+                (("v", 0, 1), ("x", 1), ("v", 3, 0)),
+                (("v", 0, 2), ("x", 2), ("v", 3, 1)),
+                (("v", 1, 2), ("v", 2, 2), ("x", 3))), ()), 1, False)),
+    (fuse_adjacent_legs(TREE, 1)[0],
+     ((4, ((("x", 0), ("v", 1, 0), ("v", 2, 0)),
+           (("v", 0, 1), ("x", 1), ("v", 3, 0)),
+           (("v", 0, 2), ("x", 3), ("v", 3, 1)),
+           (("v", 1, 2), ("v", 2, 2), ("x", 2))), ()), 1, False)),
+])
+def test_canonical_forms_pinned(ccd, expected):
+    canon, sign, null = ccd.canonical()
+    assert ((canon.ext, canon.vertices, canon.chord_pairs), sign, null) == expected
