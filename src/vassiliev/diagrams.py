@@ -10,7 +10,7 @@ rotations and relabelings.  Rotations are quotiented, reflections are not
 The trivalent generalisation (`CCD`) carries an oriented external circle
 plus internal trivalent vertices, each with a cyclic ordering of its
 three incident edge ends.  Reversing the cyclic order at one internal
-vertex is the antisymmetry move and costs a sign; `ccd_canonical_form`
+vertex is the antisymmetry move and costs a sign; `CCD.canonical`
 normalises orientations and reports the accumulated sign.
 
 `DiagramSum` is a formal linear combination with exact rational
@@ -43,12 +43,43 @@ def _relabel_first_occurrence(seq):
     return tuple(out)
 
 
+def _relabelled_rotation(seq, r):
+    """`seq` read from position r round the circle, each symbol replaced by
+    1, 2, ... in order of first occurrence."""
+    seen = {}
+    for s in seq[r:] + seq[:r]:
+        yield seen.setdefault(s, len(seen) + 1)
+
+
+def least_sequence(starts, symbols):
+    """(best, winners): the lexicographically least of the equal-length
+    sequences `symbols(s)` over `starts`, as a tuple, and every start, in
+    order, whose sequence equals it.
+
+    A candidate is read only until its first symbol above the best so far;
+    one below it is read to the end and becomes the new best.
+    """
+    best = None
+    winners = []
+    for s in starts:
+        it = iter(symbols(s))
+        if best is None:
+            best, winners = tuple(it), [s]
+            continue
+        for k, sym in enumerate(it):
+            if sym != best[k]:
+                if sym < best[k]:
+                    best, winners = best[:k] + (sym,) + tuple(it), [s]
+                break
+        else:
+            winners.append(s)
+    return best, winners
+
+
 @lru_cache(maxsize=200000)
 def _canonical_word(word):
-    m = len(word)
-    return min(
-        _relabel_first_occurrence(word[i:] + word[:i]) for i in range(m)
-    )
+    return least_sequence(range(len(word)),
+                          lambda r: _relabelled_rotation(word, r))[0]
 
 
 @dataclass(frozen=True)
@@ -347,55 +378,40 @@ class CCD:
 
     # -- canonical form ---------------------------------------------------
 
-    def _certificate(self, r, flips):
+    def _traversal(self, pairing, r, flips, label):
+        """Yield the certificate of the traversal that starts at external
+        point r, with internal vertex j flipped when flips[j].
+
+        The circle is read from r; each internal vertex met is queued and
+        its two other slots are read in effective order.  `label` is
+        filled with j -> (label, entry slot) as vertices are met.
+        """
         E = self.ext
-        ext_map = {}
-        for a, b in self.chord_pairs:
-            ext_map[a] = ("x", b)
-            ext_map[b] = ("x", a)
-        for i, slots in enumerate(self.vertices):
-            for s, tgt in enumerate(slots):
-                if tgt[0] == "x":
-                    ext_map[tgt[1]] = ("v", i, s)
-
-        label = {}
-        out = []
-        next_label = [0]
-
-        def eff(j, s_abs):
-            return _FLIP_EFF[s_abs] if flips[j] else s_abs
-
-        def abs_slot(j, e):
-            return _FLIP_ABS[e] if flips[j] else e
-
         queue = []
 
-        def symbol(tgt):
-            if tgt[0] == "x":
-                return (0, (tgt[1] - r) % E)
-            _, j, s_abs = tgt
-            e = eff(j, s_abs)
+        def symbol(end):
+            if end[0] == "x":
+                return (0, (end[1] - r) % E)
+            _, j, s = end
+            e = _FLIP_EFF[s] if flips[j] else s
             if j in label:
                 lab, entry = label[j]
                 return (1, lab, (e - entry) % 3)
-            label[j] = (next_label[0], e)
+            label[j] = (len(label), e)
             queue.append(j)
-            sym = (2, next_label[0])
-            next_label[0] += 1
-            return sym
+            return (2, len(label) - 1)
 
-        for p_new in range(E):
-            p_abs = (p_new + r) % E
-            out.append(symbol(ext_map[p_abs]))
+        for p in range(E):
+            yield symbol(pairing[("x", (p + r) % E)])
             while queue:
                 j = queue.pop(0)
-                lab, entry = label[j]
+                entry = label[j][1]
                 for k in (1, 2):
-                    s_abs = abs_slot(j, (entry + k) % 3)
-                    out.append(symbol(self.vertices[j][s_abs]))
+                    e = (entry + k) % 3
+                    yield symbol(pairing[("v", j, _FLIP_ABS[e] if flips[j]
+                                          else e)])
         if len(label) != len(self.vertices):
             raise DiagramError("CCD graph is disconnected")
-        return tuple(out), label
 
     def canonical(self):
         """(canonical CCD, sign, as_null).
@@ -410,25 +426,21 @@ class CCD:
             return cached
         E = self.ext
         I = len(self.vertices)
-        best = None
-        best_sign = 1
-        parities = set()
-        for mask in range(1 << I):
-            flips = [(mask >> i) & 1 for i in range(I)]
-            parity = -1 if sum(flips) % 2 else 1
-            for r in range(E):
-                cert, label = self._certificate(r, flips)
-                if best is None or cert < best:
-                    best = cert
-                    best_sign = parity
-                    parities = {parity}
-                    winner = (r, flips, label)
-                elif cert == best:
-                    parities.add(parity)
+        pairing = self.pairing()
+        starts = [(tuple((mask >> i) & 1 for i in range(I)), r)
+                  for mask in range(1 << I) for r in range(E)]
+        _, winners = least_sequence(
+            starts, lambda s: self._traversal(pairing, s[1], s[0], {}))
+        parities = {sum(flips) % 2 for flips, _ in winners}
+        # rerun the winner to the end for its labels (and the connectivity
+        # check, which an aborted traversal never reaches)
+        flips, r = winners[0]
+        label = {}
+        for _ in self._traversal(pairing, r, flips, label):
+            pass
+
         # relabel by the winning traversal: external p -> p - r, vertex j
         # -> its label, each slot -> its effective slot minus the entry slot
-        r, flips, label = winner
-
         def relabel(end):
             if end[0] == "x":
                 return ("x", (end[1] - r) % E)
@@ -438,8 +450,8 @@ class CCD:
             return ("v", lab, (eff - entry) % 3)
 
         canon = CCD.from_pairing({relabel(end): relabel(tgt)
-                                  for end, tgt in self.pairing().items()})
-        result = (canon, best_sign, len(parities) == 2)
+                                  for end, tgt in pairing.items()})
+        result = (canon, -1 if sum(flips) % 2 else 1, len(parities) == 2)
         object.__setattr__(self, "_canon", result)
         return result
 
@@ -450,8 +462,10 @@ class CCD:
 
     def rigid_key(self):
         """Isomorphism key that respects vertex orientations (no flips)."""
-        flips = [0] * len(self.vertices)
-        return min(self._certificate(r, flips)[0] for r in range(self.ext))
+        pairing = self.pairing()
+        flips = (0,) * len(self.vertices)
+        return least_sequence(range(self.ext), lambda r: self._traversal(
+            pairing, r, flips, {}))[0]
 
     def __hash__(self):
         return hash((self.ext, self.vertices, self.chord_pairs))
@@ -483,12 +497,6 @@ class CCD:
             "vertices": [[list(t) for t in slots] for slots in canon.vertices],
             "edges": sorted(edges),
         }
-
-
-def ccd_canonical_form(c: CCD):
-    """(canonical CCD, sign) under rotation/relabel/orientation moves."""
-    canon, sign, _ = c.canonical()
-    return canon, sign
 
 
 def is_connected_ccd(c: CCD) -> bool:

@@ -21,6 +21,7 @@ import re
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
+from .diagrams import _relabelled_rotation, least_sequence
 from .errors import DiagramError
 
 DEFAULT_BUDGET = 10000
@@ -112,21 +113,12 @@ class GaussCode:
     def canonical_key(self):
         """Rotation- and relabel-invariant identity of the code."""
         ps = self.passages
-        m = len(ps)
-        if m == 0:
-            return ()
-        best = None
-        for r in range(m):
-            rel = {}
-            out = []
-            for i in range(m):
-                p = ps[(r + i) % m]
-                lab = rel.setdefault(p.crossing, len(rel) + 1)
-                out.append((lab, p.over, p.sign))
-            t = tuple(out)
-            if best is None or t < best:
-                best = t
-        return best
+        names = [p.crossing for p in ps]
+        tails = [(p.over, p.sign) for p in ps]
+        best, _ = least_sequence(range(len(ps)), lambda r: (
+            (lab, *tail) for lab, tail in
+            zip(_relabelled_rotation(names, r), tails[r:] + tails[:r])))
+        return best or ()
 
     # -- planarity ---------------------------------------------------------
 

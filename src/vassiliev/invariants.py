@@ -26,6 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from .diagrams import least_sequence
 from .errors import ConsistencyError, DiagramError
 from .gausscodes import GaussCode, Passage, simplify
 from .linalg import RelationSpan
@@ -45,15 +46,9 @@ def _poly_add(a, b, scale=1, shift=0):
 def _link_key(link):
     comps = []
     for comp in link:
-        m = len(comp)
-        if m == 0:
-            comps.append(())
-            continue
-        best = min(
-            tuple((q.crossing, q.over, q.sign)
-                  for q in (comp[(r + i) % m] for i in range(m)))
-            for r in range(m))
-        comps.append(best)
+        raw = tuple((q.crossing, q.over, q.sign) for q in comp)
+        best, _ = least_sequence(range(len(raw)), lambda r: raw[r:] + raw[:r])
+        comps.append(best or ())
     comps.sort()
     # relabel crossings by first appearance for name independence
     rel = {}

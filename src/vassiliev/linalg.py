@@ -217,17 +217,6 @@ class RelationSpan:
                 vec = new
         return len(pivots)
 
-    def dump_matrix_market(self, fp):
-        """Triplet text dump (row, col, value) of the inserted rows."""
-        entries = []
-        for i, row in enumerate(self.rows):
-            for c in sorted(row):
-                entries.append((i + 1, c + 1, row[c]))
-        fp.write("%%MatrixMarket matrix coordinate integer general\n")
-        fp.write(f"{len(self.rows)} {len(self.basis)} {len(entries)}\n")
-        for r, c, v in entries:
-            fp.write(f"{r} {c} {v}\n")
-
 
 class WeightSystem:
     """Linear functional on order-n diagrams, given by its basis values."""

@@ -345,7 +345,8 @@ def reduce_tree_to_ngons(sigma, verify_drops=True, trace=None):
             if rep_null:
                 log("AS", "2-torsion gon dropped over the rationals", 1, [])
                 continue
-            result.add(complete_ngon(rep), coeff * s * s_rep)
+            # gon is in rep's class; DiagramSum.add applies its sign s
+            result.add(gon, coeff)
             log("STU", f"complete gon matched to {rep}", s * s_rep,
                 [f"f{rep}({coeff * s * s_rep})"])
         else:

@@ -274,12 +274,3 @@ def quotient_spans(n: int):
         primitive.add(DiagramSum([(d, 1)]))
     four_t.read_only = primitive.read_only = True
     return four_t, primitive
-
-
-def dump_relations(fp, relations):
-    """Write DiagramSums as JSON lines: {order, terms: [{diagram, num, den}]}."""
-    import json
-
-    for rel in relations:
-        fp.write(json.dumps(rel.to_jsonable(), sort_keys=True))
-        fp.write("\n")

@@ -10,12 +10,16 @@ from vassiliev.diagrams import (
     CCD,
     ChordDiagram,
     DiagramSum,
-    ccd_canonical_form,
+    _canonical_word,
+    _matchings,
+    _relabel_first_occurrence,
+    _word_from_matching,
     count_chord_diagrams_burnside,
     enumerate_chord_diagrams,
     enumerate_connected_ccds,
     is_connected_ccd,
     is_split,
+    least_sequence,
     sample_connected_ccds,
 )
 from vassiliev.errors import DiagramError, ResourceGuardError
@@ -26,6 +30,41 @@ def test_canonical_examples():
     assert ChordDiagram.from_text("2121").as_text() == "1212"
     assert (ChordDiagram.from_text("122133").word
             == ChordDiagram.from_text("221331").word)
+
+
+@st.composite
+def periodic_sequences(draw):
+    """Short int sequences made of a repeated block, so rotations tie."""
+    block = draw(st.lists(st.integers(0, 2), min_size=1, max_size=4))
+    return tuple(block * draw(st.integers(1, 3)))
+
+
+@given(periodic_sequences())
+def test_least_sequence_matches_brute_force_min(seq):
+    rotations = [seq[r:] + seq[:r] for r in range(len(seq))]
+    best, winners = least_sequence(range(len(seq)),
+                                   lambda r: iter(rotations[r]))
+    assert best == min(rotations)
+    assert winners == [r for r in range(len(seq)) if rotations[r] == best]
+
+
+def test_least_sequence_stops_at_the_first_larger_symbol():
+    def symbols(s):
+        yield s
+        if s:
+            raise AssertionError("a losing candidate was read on")
+        yield 0
+
+    assert least_sequence([0, 1], symbols) == ((0, 0), [0])
+
+
+def test_canonical_word_is_the_least_relabelled_rotation():
+    for n in range(1, 6):
+        for m in _matchings(list(range(2 * n))):
+            word = _word_from_matching(m, 2 * n)
+            assert _canonical_word(word) == min(
+                _relabel_first_occurrence(word[i:] + word[:i])
+                for i in range(2 * n))
 
 
 def test_malformed_words_rejected():
@@ -114,8 +153,8 @@ def _theta_ccd():
 
 def test_ccd_canonical_idempotent_and_signs():
     c = _theta_ccd()
-    canon, sign = ccd_canonical_form(c)
-    canon2, sign2 = ccd_canonical_form(canon)
+    canon, sign = c.canonical()[:2]
+    canon2, sign2 = canon.canonical()[:2]
     assert canon2 == canon and sign2 == 1
     # flipping one vertex orientation flips the sign
     flipped = CCD.build(2, [
@@ -123,7 +162,7 @@ def test_ccd_canonical_idempotent_and_signs():
         (("x", 1), ("v", 0, 1), ("v", 0, 2)),
     ])
     # flipping both vertices gives sign (+1) relative to itself
-    canon3, sign3 = ccd_canonical_form(flipped)
+    canon3, sign3 = flipped.canonical()[:2]
     assert canon3 == canon
     assert sign3 == 1
 
@@ -196,11 +235,24 @@ def test_canonical_form_is_the_min_certificate_and_a_fixed_point():
         assert canon == c
         assert canon.canonical()[:2] == (canon, 1)
         I = len(c.vertices)
-        best = min(moved._certificate(r, [(m >> i) & 1 for i in range(I)])[0]
+        pairing = moved.pairing()
+        best = min(tuple(moved._traversal(
+                       pairing, r, [(m >> i) & 1 for i in range(I)], {}))
                    for m in range(1 << I) for r in range(moved.ext))
-        assert canon._certificate(0, [0] * I)[0] == best
+        assert tuple(canon._traversal(canon.pairing(), 0, [0] * I, {})) == best
         if not null:
             assert sign == flip_sign
+
+
+def test_canonical_rejects_a_component_off_the_circle():
+    # a theta graph on two internal vertices beside a chord: the traversal
+    # from the circle never reaches it
+    c = CCD.build(2, [[("v", 1, 0), ("v", 1, 2), ("v", 1, 1)],
+                      [("v", 0, 0), ("v", 0, 2), ("v", 0, 1)]], [(0, 1)])
+    with pytest.raises(DiagramError, match="CCD graph is disconnected"):
+        c.canonical()
+    with pytest.raises(DiagramError, match="CCD graph is disconnected"):
+        c.rigid_key()
 
 
 def test_is_connected_ccd():

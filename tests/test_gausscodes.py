@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from vassiliev.errors import DiagramError
@@ -6,6 +8,7 @@ from vassiliev.gausscodes import (
     LEFT_TREFOIL,
     RIGHT_TREFOIL,
     GaussCode,
+    Passage,
     alexander_det,
     connected_sum,
     reidemeister_one,
@@ -100,11 +103,32 @@ def test_connected_sum_identity():
     assert s.is_realizable()
 
 
-def test_canonical_key_rotation_invariant():
-    ps = RIGHT_TREFOIL.passages
-    rotated = GaussCode(ps[2:] + ps[:2])
-    assert rotated.canonical_key() == RIGHT_TREFOIL.canonical_key()
+def brute_force_key(code):
+    """Oracle for `canonical_key`: every rotation relabelled in full."""
+    ps = code.passages
+    m = len(ps)
+    keys = []
+    for r in range(m):
+        rel = {}
+        keys.append(tuple((rel.setdefault(p.crossing, len(rel) + 1),
+                           p.over, p.sign)
+                          for p in ps[r:] + ps[:r]))
+    return min(keys, default=())
 
+
+def test_canonical_key_rotation_invariant():
+    ribbon = [make(sigma)[0] for n in (2, 3, 4)
+              for sigma in ((1,) + p for p in permutations(range(2, n + 1)))
+              for make in (ribbon_gauss_code, ribbon_inverse_code)]
+    for code in [RIGHT_TREFOIL, FIGURE_EIGHT, GaussCode.from_text("")] + ribbon:
+        ps = code.passages
+        ids = sorted({p.crossing for p in ps})
+        rename = dict(zip(ids, reversed(ids)))
+        for r in range(0, len(ps), 3):
+            moved = GaussCode(tuple(Passage(rename[p.crossing], p.over, p.sign)
+                                    for p in ps[r:] + ps[:r]))
+            assert moved.canonical_key() == brute_force_key(moved)
+            assert moved.canonical_key() == code.canonical_key()
 
 
 @pytest.mark.parametrize("code, genus, r3", [

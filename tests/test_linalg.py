@@ -1,4 +1,3 @@
-import io
 import random
 from fractions import Fraction
 
@@ -126,17 +125,6 @@ def test_rank_matches_dense_oracle(rows):
         rank += 1
     assert span.rank == rank
     assert span.quotient_dim() + span.rank == 4
-
-
-def test_matrix_market_dump():
-    span = RelationSpan.over_order(2)
-    span.add({0: 1, 1: -1})
-    buf = io.StringIO()
-    span.dump_matrix_market(buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0].startswith("%%MatrixMarket")
-    assert lines[1] == "1 2 2"
-    assert lines[2:] == ["1 1 1", "1 2 -1"]
 
 
 # -- oracles for the in-place elimination and the integer annihilation check

@@ -253,18 +253,3 @@ def test_ihx_rejects_external_edge():
     c = CCD.from_chord_diagram(ChordDiagram.from_text("1212"))
     with pytest.raises((DiagramError, IndexError)):
         ihx_relation(c, (0, 0))
-
-
-def test_relation_dump_format():
-    import io
-    import json
-    from vassiliev.relations import dump_relations
-
-    buf = io.StringIO()
-    rels = four_t_relations(3)
-    dump_relations(buf, rels)
-    lines = buf.getvalue().splitlines()
-    assert len(lines) == len(rels)
-    row = json.loads(lines[0])
-    assert row["order"] == 3
-    assert all({"diagram", "num", "den"} <= set(t) for t in row["terms"])
