@@ -155,9 +155,9 @@ def cmd_ribbon(args):
         checks["scheme_identity"] = verify_ohyama_identity(sigma)
     if n <= 3:
         # the inverse member negates invariants of order <= n only
-        from .invariants import a2_skein, invariant_v3
+        from .invariants import invariant_a2, invariant_v3
         inv, _ = ribbon_inverse_code(sigma)
-        checks["a2_negates"] = bool(a2_skein(inv) == -a2_skein(code))
+        checks["a2_negates"] = bool(invariant_a2(inv) == -invariant_a2(code))
         if n >= 3:
             checks["v3_negates"] = bool(invariant_v3(inv) == -invariant_v3(code))
     print(json.dumps(checks))

@@ -12,6 +12,10 @@ breadth-first search over triangle (III) moves within a configurable
 state budget; reaching the empty code certifies the unknot, anything
 else is inconclusive and callers fall back to the determinant
 `alexander_det` (= |Alexander polynomial at -1|) as a necessary condition.
+
+`alexander_polynomial` gives the whole normalised Alexander polynomial,
+interpolated exactly from determinants at integer points.  Both read the
+one Fox-calculus matrix `_alexander_matrix`.
 """
 
 from __future__ import annotations
@@ -19,10 +23,11 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from heapq import heappop, heappush
 
 from .diagrams import _relabelled_rotation, least_sequence
-from .errors import DiagramError
+from .errors import ConsistencyError, DiagramError
 
 DEFAULT_BUDGET = 10000
 BUDGET_ENV = "VASSILIEV_SIMPLIFY_BUDGET"
@@ -115,7 +120,10 @@ class GaussCode:
         ps = self.passages
         names = [p.crossing for p in ps]
         tails = [(p.over, p.sign) for p in ps]
-        best, _ = least_sequence(range(len(ps)), lambda r: (
+        # every start's first symbol is (1, over, sign): only the least can win
+        low = min(tails, default=None)
+        starts = [r for r, tail in enumerate(tails) if tail == low]
+        best, _ = least_sequence(starts, lambda r: (
             (lab, *tail) for lab, tail in
             zip(_relabelled_rotation(names, r), tails[r:] + tails[:r])))
         return best or ()
@@ -319,43 +327,74 @@ def simplify(code: GaussCode, budget=None) -> GaussCode:
     return best
 
 
+def _alexander_matrix(code: GaussCode, t: int):
+    """Fox-calculus Alexander matrix at the integer t, last row and column
+    deleted (any first minor gives the polynomial up to a unit).
+
+    Arc k runs from the k-th under-passage to the next; the arc through
+    the base point is the last one.  The row of a crossing is
+    (1-t)*over + t*in - out if it is positive and
+    (t-1)*over + in - t*out if it is negative.
+    """
+    ps = code.passages
+    c = len(ps) // 2
+    over, unders = {}, []
+    arc = c - 1
+    for p in ps:
+        if p.over:
+            over[p.crossing] = arc
+        else:
+            unders.append((p.crossing, p.sign, arc))
+            arc = len(unders) - 1
+    rows = []
+    for out, (cid, sign, into) in enumerate(unders[:-1]):
+        row = [0] * c
+        w_over, w_in, w_out = (1 - t, t, -1) if sign > 0 else (t - 1, 1, -t)
+        row[over[cid]] += w_over
+        row[into] += w_in
+        row[out] += w_out
+        rows.append(row[:-1])
+    return rows
+
+
 def alexander_det(code: GaussCode) -> int:
     """|Alexander polynomial at -1| (the knot determinant); unknot gives 1."""
-    ps = code.passages
-    m = len(ps)
-    if m == 0:
-        return 1
-    unders = [i for i, p in enumerate(ps) if not p.over]
-    if not unders:
-        return 1
-    c = len(unders)
-    if c == 1:
-        return 1
+    return abs(_int_det(_alexander_matrix(code, -1)))
 
-    def arc_at(i):
-        """Arc index active at position i (arc k starts after unders[k])."""
-        lo = -1
-        for k, pos in enumerate(unders):
-            if pos <= i:
-                lo = k
-        return lo % c
 
-    rows = []
-    for k, pos in enumerate(unders):
-        cid = ps[pos].crossing
-        over_pos = next(i for i, p in enumerate(ps)
-                        if p.crossing == cid and p.over)
-        a_in = (k - 1) % c
-        a_out = k
-        a_over = arc_at(over_pos)
-        row = [0] * c
-        row[a_out] += 1
-        row[a_in] += 1
-        row[a_over] -= 2
-        rows.append(row)
-    # delete one row and one column, integer determinant (Bareiss)
-    mat = [row[:-1] for row in rows[:-1]]
-    return abs(_int_det(mat))
+def alexander_polynomial(code: GaussCode) -> tuple:
+    """Alexander polynomial as its coefficients, lowest power first,
+    normalised to have no factor +-t^m and Delta(1) = 1.
+
+    The minor's determinant has degree at most c - 1 for c arcs, so its
+    values at c consecutive integers fix it exactly.  A knot's polynomial is
+    palindromic; anything else raises ConsistencyError.
+    """
+    if not code.is_realizable():
+        raise DiagramError("Alexander polynomial needs a realizable code")
+    n = max(len(code), 1)
+    xs = range(-(n // 2), n - n // 2)
+    # Newton divided differences, then the Newton form expanded
+    dd = [Fraction(_int_det(_alexander_matrix(code, x))) for x in xs]
+    for k in range(1, len(xs)):
+        for i in range(len(xs) - 1, k - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - k])
+    poly = [dd[-1]]
+    for k in range(len(xs) - 2, -1, -1):
+        poly = [Fraction(0)] + poly
+        for i in range(len(poly) - 1):
+            poly[i] -= xs[k] * poly[i + 1]
+        poly[0] += dd[k]
+    nonzero = [i for i, a in enumerate(poly) if a]
+    delta = poly[nonzero[0]:nonzero[-1] + 1] if nonzero else []
+    unit = sum(delta)
+    if unit not in (1, -1) or any(a.denominator != 1 for a in delta):
+        raise ConsistencyError(f"Alexander polynomial {delta} is not a knot's")
+    delta = tuple(int(a * unit) for a in delta)
+    if delta != delta[::-1]:
+        raise ConsistencyError(
+            f"Alexander polynomial {delta} is not palindromic")
+    return delta
 
 
 def _int_det(mat) -> int:

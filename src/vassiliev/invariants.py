@@ -1,15 +1,17 @@
 """Low-order invariants of Gauss codes, each computable two ways.
 
-* `conway_polynomial` - exact skein recursion (switch towards a
-  descending diagram, smooth with a z factor); `a2_skein` reads the z^2
-  coefficient.  Works for any realizable code at desk sizes.
-
 * `a2_gauss` - Polyak-Viro style subconfiguration count over pairs of
   crossings, taken at the base point, which Polyak-Viro makes base-point
   independent on realizable codes.  The pattern weights are frozen
-  constants, calibrated once against the skein evaluator (see
-  `fit_pair_formula`) and locked by golden tests; the two evaluators must
-  agree on every code.
+  constants, fitted once by `fit_pair_formula` and locked by golden
+  tests.
+
+* `a2_alexander` - the z^2 coefficient of the Conway polynomial, read
+  off `gausscodes.alexander_polynomial` (exact determinants, polynomial
+  time in the crossing number).  `invariant_a2` requires the two a2
+  evaluators to agree on every code.  The Conway skein recursion,
+  exponential in the crossing number, is kept in the tests as a third,
+  independent oracle.
 
 * `kauffman_bracket` / `jones_polynomial` - state sum, exponential in the
   crossing number; used as the independent oracle for the order-3
@@ -26,116 +28,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .diagrams import least_sequence
 from .errors import ConsistencyError, DiagramError
-from .gausscodes import GaussCode, Passage, simplify
+from .gausscodes import GaussCode, alexander_polynomial, simplify
 from .linalg import RelationSpan
-
-# ---------------------------------------------------------------------------
-# Conway polynomial via skein recursion
-# ---------------------------------------------------------------------------
-
-
-def _poly_add(a, b, scale=1, shift=0):
-    out = dict(a)
-    for k, v in b.items():
-        out[k + shift] = out.get(k + shift, 0) + scale * v
-    return {k: v for k, v in out.items() if v}
-
-
-def _link_key(link):
-    comps = []
-    for comp in link:
-        raw = tuple((q.crossing, q.over, q.sign) for q in comp)
-        best, _ = least_sequence(range(len(raw)), lambda r: raw[r:] + raw[:r])
-        comps.append(best or ())
-    comps.sort()
-    # relabel crossings by first appearance for name independence
-    rel = {}
-    out = []
-    for comp in comps:
-        row = []
-        for cid, over, sign in comp:
-            lab = rel.setdefault(cid, len(rel) + 1)
-            row.append((lab, over, sign))
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _first_violation(link):
-    visited = set()
-    for ci, comp in enumerate(link):
-        for pi, p in enumerate(comp):
-            if p.crossing in visited:
-                continue
-            visited.add(p.crossing)
-            if not p.over:
-                return ci, pi
-    return None
-
-
-def _switch(link, cid):
-    return tuple(
-        tuple(Passage(p.crossing, not p.over, -p.sign) if p.crossing == cid
-              else p for p in comp)
-        for comp in link)
-
-
-def _smooth(link, cid):
-    """Oriented smoothing: split one component or merge two."""
-    locs = []
-    for ci, comp in enumerate(link):
-        for pi, p in enumerate(comp):
-            if p.crossing == cid:
-                locs.append((ci, pi))
-    (c1, i), (c2, j) = locs
-    if c1 == c2:
-        comp = link[c1]
-        if i > j:
-            i, j = j, i
-        a = comp[i + 1:j]
-        b = comp[j + 1:] + comp[:i]
-        rest = [c for ci, c in enumerate(link) if ci != c1]
-        return tuple(rest + [a, b])
-    A, B = link[c1], link[c2]
-    merged = A[:i] + B[j + 1:] + B[:j] + A[i + 1:]
-    rest = [c for ci, c in enumerate(link) if ci not in (c1, c2)]
-    return tuple(rest + [merged])
-
-
-_CONWAY_MEMO = {}
-
-
-def _conway_link(link):
-    key = _link_key(link)
-    got = _CONWAY_MEMO.get(key)
-    if got is not None:
-        return got
-    viol = _first_violation(link)
-    if viol is None:
-        result = {0: 1} if len(link) == 1 else {}
-    else:
-        ci, pi = viol
-        p = link[ci][pi]
-        switched = _switch(link, p.crossing)
-        smoothed = _smooth(link, p.crossing)
-        if p.sign > 0:
-            result = _poly_add(_conway_link(switched),
-                               _conway_link(smoothed), scale=1, shift=1)
-        else:
-            result = _poly_add(_conway_link(switched),
-                               _conway_link(smoothed), scale=-1, shift=1)
-    _CONWAY_MEMO[key] = result
-    return result
-
-
-def conway_polynomial(code: GaussCode) -> dict:
-    """Conway polynomial as {degree: coefficient}."""
-    if not code.is_realizable():
-        raise DiagramError("Conway polynomial needs a realizable code")
-    if not code.passages:
-        return {0: 1}
-    return dict(_conway_link((tuple(code.passages),)))
 
 
 def split_summands(code: GaussCode):
@@ -183,16 +78,21 @@ def _sum_over_summands(code: GaussCode, memo, evaluate) -> Fraction:
 _PART_A2 = {}
 
 
-def a2_skein(code: GaussCode) -> Fraction:
-    """z^2 coefficient of the Conway polynomial.
+def _a2_of_delta(small: GaussCode) -> Fraction:
+    delta = alexander_polynomial(small)
+    mid = len(delta) // 2
+    return Fraction(sum((k - mid) ** 2 * c for k, c in enumerate(delta)), 2)
+
+
+def a2_alexander(code: GaussCode) -> Fraction:
+    """z^2 coefficient of the Conway polynomial, read off the Alexander
+    polynomial: with Delta = sum c_k t^k symmetric about k = 0,
+    a2 = (1/2) sum k^2 c_k.
 
     Visible connected sums are evaluated factor by factor (a2 is
-    additive); each factor is reduced by Reidemeister moves first, since
-    the skein recursion on a raw clasp diagram branches far too much.
+    additive), each factor reduced by Reidemeister moves first.
     """
-    return _sum_over_summands(
-        code, _PART_A2,
-        lambda small: Fraction(conway_polynomial(small).get(2, 0)))
+    return _sum_over_summands(code, _PART_A2, _a2_of_delta)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +129,7 @@ def _pair_features(code: GaussCode):
     return feats
 
 
-# Calibrated against the skein evaluator over a battery of knots and
+# Calibrated against known a2 values over a battery of knots and
 # random Reidemeister images, then frozen (see tests/test_invariants.py).
 A2_PATTERN_WEIGHTS = {
     ("xyxy", True, False): Fraction(1),
@@ -253,10 +153,10 @@ def a2_gauss(code: GaussCode) -> Fraction:
 def invariant_a2(code: GaussCode) -> Fraction:
     """a2 computed two independent ways; they must agree exactly."""
     fast = a2_gauss(code)
-    oracle = a2_skein(code)
+    oracle = a2_alexander(code)
     if fast != oracle:
         raise ConsistencyError(
-            f"a2 evaluators disagree: counting {fast}, skein {oracle}")
+            f"a2 evaluators disagree: counting {fast}, Alexander {oracle}")
     return fast
 
 
@@ -420,7 +320,7 @@ def invariant_v3(code: GaussCode) -> Fraction:
 
 def a2_weight_calibration() -> Fraction:
     """Raw weight of the crossing diagram 1212 under a2 (should be 1)."""
-    return _shadow_alternating_sum(a2_skein, (1, 2))
+    return _shadow_alternating_sum(a2_alexander, (1, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ from vassiliev.diagrams import (
 )
 from vassiliev.gausscodes import connected_sum
 from vassiliev.invariants import (
+    a2_alexander,
     a2_gauss,
-    a2_skein,
     invariant_a2,
     invariant_v3,
 )
@@ -45,6 +45,8 @@ from vassiliev.ribbon import (
     ribbon_inverse_code,
     verify_ohyama_identity,
 )
+
+from skein_oracle import a2_skein
 
 PUBLISHED_BOUNDS = [1, 2, 4, 14, 54, 332, 2246]
 PRIMES = (2147483647, 2305843009213693951)
@@ -233,7 +235,7 @@ def test_criterion_12_consistency_checks():
         span = relation_span(n)
         for w in span.dual_basis():
             ok = ok and w.annihilates(span) and w.is_primitive()
-    # the two a2 evaluators agree on every generated code
+    # the a2 evaluators and the skein oracle agree on every generated code
     corpus = []
     for sigma in ((1, 2),) + tuple(ngon_representatives(3)):
         code, scheme = ribbon_gauss_code(sigma)
@@ -242,7 +244,7 @@ def test_criterion_12_consistency_checks():
         corpus.append(code.switched(scheme.all_ids([0])))
     corpus.append(connected_sum(corpus[0], corpus[1]))
     for code in corpus:
-        ok = ok and a2_gauss(code) == a2_skein(code)
+        ok = ok and a2_gauss(code) == a2_alexander(code) == a2_skein(code)
     # rational and mod-p ranks agree
     for n in (3, 4, 5):
         span = relation_span(n)

@@ -10,6 +10,7 @@ from vassiliev.gausscodes import (
     GaussCode,
     Passage,
     alexander_det,
+    alexander_polynomial,
     connected_sum,
     reidemeister_one,
     reidemeister_three,
@@ -52,6 +53,21 @@ def test_determinants():
     assert alexander_det(GaussCode.from_text("O1+,U1+")) == 1
     sq = connected_sum(RIGHT_TREFOIL, LEFT_TREFOIL)
     assert alexander_det(sq) == 9
+
+
+def test_alexander_polynomial_goldens():
+    granny = connected_sum(RIGHT_TREFOIL, RIGHT_TREFOIL)
+    for code, delta in [(RIGHT_TREFOIL, (1, -1, 1)),
+                        (LEFT_TREFOIL, (1, -1, 1)),
+                        (FIGURE_EIGHT, (-1, 3, -1)),
+                        (granny, (1, -2, 3, -2, 1)),
+                        (GaussCode.from_text(""), (1,)),
+                        (GaussCode.from_text("O1+,U1+"), (1,))]:
+        assert alexander_polynomial(code) == delta
+        assert alexander_det(code) == abs(sum(
+            c * (-1) ** k for k, c in enumerate(delta)))
+    with pytest.raises(DiagramError):
+        alexander_polynomial(GaussCode.from_text("O1+,U2+,U1+,O2+"))
 
 
 def test_r1_removes_kinks():
@@ -120,11 +136,17 @@ def test_canonical_key_rotation_invariant():
     ribbon = [make(sigma)[0] for n in (2, 3, 4)
               for sigma in ((1,) + p for p in permutations(range(2, n + 1)))
               for make in (ribbon_gauss_code, ribbon_inverse_code)]
-    for code in [RIGHT_TREFOIL, FIGURE_EIGHT, GaussCode.from_text("")] + ribbon:
+    cases = [(code, range(0, 2 * len(code), 3))
+             for code in [RIGHT_TREFOIL, FIGURE_EIGHT, GaussCode.from_text("")]
+             + ribbon]
+    # every single switch too, at one rotation each to keep the test fast
+    cases += [(code.switched({c}), [c]) for code in ribbon
+              for c in code.crossings]
+    for code, rotations in cases:
         ps = code.passages
         ids = sorted({p.crossing for p in ps})
         rename = dict(zip(ids, reversed(ids)))
-        for r in range(0, len(ps), 3):
+        for r in rotations:
             moved = GaussCode(tuple(Passage(rename[p.crossing], p.over, p.sign)
                                     for p in ps[r:] + ps[:r]))
             assert moved.canonical_key() == brute_force_key(moved)

@@ -10,13 +10,16 @@ from vassiliev.gausscodes import (
     RIGHT_TREFOIL,
     GaussCode,
     Passage,
+    alexander_det,
+    alexander_polynomial,
     connected_sum,
+    simplify,
 )
 from vassiliev.invariants import (
+    _a2_of_delta,
+    a2_alexander,
     a2_gauss,
-    a2_skein,
     a2_weight_calibration,
-    conway_polynomial,
     evaluate_pair_formula,
     fit_pair_formula,
     invariant_a2,
@@ -28,6 +31,8 @@ from vassiliev.invariants import (
     A2_PATTERN_WEIGHTS,
 )
 from vassiliev.ribbon import ribbon_gauss_code, ribbon_inverse_code
+
+from skein_oracle import a2_skein, conway_polynomial
 
 GOLDEN_A2 = {
     "unknot": (GaussCode.from_text(""), 0),
@@ -50,7 +55,49 @@ def test_a2_goldens_both_ways():
     for name, (code, value) in GOLDEN_A2.items():
         assert a2_skein(code) == value, name
         assert a2_gauss(code) == value, name
+        assert a2_alexander(code) == value, name
         assert invariant_a2(code) == value, name
+
+
+def _delta_from_conway(conway):
+    """Delta(t) = nabla(t^(1/2) - t^(-1/2)), using z^2 = t - 2 + 1/t."""
+    top = max(conway) // 2
+    delta = [0] * (2 * top + 1)
+    power = [1]  # (z^2)^j, coefficients of t^-j .. t^j
+    for j in range(top + 1):
+        for i, c in enumerate(power):
+            delta[top - j + i] += conway.get(2 * j, 0) * c
+        power = [sum(power[i - d] * w for d, w in enumerate((1, -2, 1))
+                     if 0 <= i - d < len(power))
+                 for i in range(len(power) + 2)]
+    return tuple(delta)
+
+
+def _members():
+    return [make(sigma)[0] for sigma in ((1, 2), (1, 2, 3), (1, 3, 2))
+            for make in (ribbon_gauss_code, ribbon_inverse_code)]
+
+
+def test_alexander_polynomial_matches_the_skein():
+    # the skein runs on simplified copies; Delta reads the raw codes
+    codes = [code for code, _ in GOLDEN_A2.values()] + _members()
+    for code in codes:
+        conway = conway_polynomial(simplify(code, budget=400))
+        assert alexander_polynomial(code) == _delta_from_conway(conway)
+        assert a2_alexander(code) == a2_skein(code)
+
+
+def test_alexander_a2_and_determinant_on_single_switches():
+    # raw codes of up to 21 crossings, none simplified, and member (1,3,2)
+    # with crossings 6 and 13 switched, where the skein took 42 s
+    codes = [code.switched({c}) for code in _members() for c in code.crossings]
+    assert len(codes) == 102
+    codes.append(ribbon_gauss_code((1, 3, 2))[0].switched({6, 13}))
+    for code in codes:
+        delta = alexander_polynomial(code)
+        assert alexander_det(code) == abs(sum(
+            c * (-1) ** k for k, c in enumerate(delta)))
+        assert _a2_of_delta(code) == a2_gauss(code)
 
 
 def test_a2_even_parity_on_ribbon_like_sums():
