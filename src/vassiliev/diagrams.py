@@ -76,10 +76,26 @@ def least_sequence(starts, symbols):
     return best, winners
 
 
-@lru_cache(maxsize=200000)
+_CANONICAL_MEMO_CAP = 200000   # words; one orbit (2n of them) must fit
+_CANONICAL_MEMO = {}           # first-occurrence word -> canonical word
+
+
 def _canonical_word(word):
-    return least_sequence(range(len(word)),
-                          lambda r: _relabelled_rotation(word, r))[0]
+    """The least relabelled rotation of `word`.
+
+    A miss stores the whole rotation orbit, so every other word of the
+    diagram hits after one relabelling.  The memo is cleared when the
+    next orbit would take it past _CANONICAL_MEMO_CAP.
+    """
+    key = _relabel_first_occurrence(word)
+    best = _CANONICAL_MEMO.get(key)
+    if best is None:
+        orbit = [tuple(_relabelled_rotation(key, r)) for r in range(len(key))]
+        best = min(orbit)
+        if len(_CANONICAL_MEMO) + len(orbit) > _CANONICAL_MEMO_CAP:
+            _CANONICAL_MEMO.clear()
+        _CANONICAL_MEMO.update(dict.fromkeys(orbit, best))
+    return best
 
 
 @dataclass(frozen=True)

@@ -339,12 +339,9 @@ def fit_pair_formula(batch):
     keys = sorted({k for feats, _ in rows for k in feats})
     span = RelationSpan(keys + ["value"])
     value_col = len(keys)
-    for feats, value in rows:
-        row = {span.index[k]: v for k, v in feats.items()}
-        row[value_col] = -value
-        span.add(row)
-    rref = span._rref()
-    if value_col in rref:
+    span.add_all({**{span.index[k]: v for k, v in feats.items()},
+                  value_col: -value} for feats, value in rows)
+    if value_col in span.pivots:
         raise ConsistencyError("pair-pattern system is inconsistent")
-    return {keys[c]: -row[value_col]
-            for c, row in sorted(rref.items()) if row.get(value_col)}
+    return {keys[c]: Fraction(-row[value_col], row[c])
+            for c, row in sorted(span.pivots.items()) if row.get(value_col)}

@@ -2,15 +2,20 @@
 
 Rows are kept as integer sparse vectors (content normalised by gcd);
 reduction is fraction-free, so no floating point enters any result.  The
-echelon form uses lowest-column pivoting with rows reduced on insertion,
-which is deterministic and keeps fill-in low at the sizes that occur here
-(a few thousand rows over at most ~10^3 basis diagrams).
+pivot rows are fully reduced: each holds its own lowest column, its
+pivot, and no other pivot column.  So `pivots` is the reduced row echelon
+form of the row space, each row scaled to primitive integers with a
+positive lead, and it does not depend on the order the rows came in.
+`add_all` inserts a batch highest lowest-column first, which keeps the
+rows sparse while they are built (a few thousand rows over at most ~10^3
+basis diagrams at the sizes that occur here).
 
 A `RelationSpan` is the row space of a set of relations over an ordered
 diagram basis; quotient dimensions, membership queries and the dual basis
-of annihilating functionals (weight systems) are all exact.  The shared
-4T and 4T + split spans come from `relations.quotient_spans`; they are
-read-only, and `copy()` gives a writable span to extend.
+of annihilating functionals (weight systems) are all exact, the last read
+straight off the pivot rows.  The shared 4T and 4T + split spans come
+from `relations.quotient_spans`; they are read-only, and `copy()` gives a
+writable span to extend.
 """
 
 from __future__ import annotations
@@ -46,30 +51,35 @@ def _int_row(vec):
             for c, v in vec.items() if v}
 
 
-def _eliminate(vec, pivots):
-    """Fraction-free reduction of an int row against pivot rows.
+def _combine(vec, piv, c):
+    """a * vec - b * piv, with a / b = piv[c] / vec[c] in lowest terms, so
+    column c cancels; `vec` is changed in place and returned."""
+    a, b = piv[c], vec[c]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if a != 1:
+        for col in vec:
+            vec[col] *= a
+    for col, v in piv.items():
+        val = vec.get(col, 0) - b * v
+        if val:
+            vec[col] = val
+        else:
+            del vec[col]
+    return vec
 
-    Each step replaces the working copy by a * vec - b * pivot, in place
-    and over the pivot row's entries only; a is the pivot's lead entry.
+
+def _eliminate(vec, pivots):
+    """Fraction-free reduction of an int row against fully reduced pivot
+    rows; the result holds no pivot column.
+
+    A step against one pivot row brings in no other pivot column, so one
+    step per pivot column the row holds is enough.
     """
     vec = dict(vec)
-    while vec:
-        c = min(vec)
-        piv = pivots.get(c)
-        if piv is None:
-            return vec, c
-        a = piv[c]
-        b = vec[c]
-        if a != 1:
-            for col in vec:
-                vec[col] *= a
-        for col, v in piv.items():
-            val = vec.get(col, 0) - b * v
-            if val:
-                vec[col] = val
-            else:
-                del vec[col]
-    return {}, None
+    for c in [c for c in vec if c in pivots]:
+        _combine(vec, pivots[c], c)
+    return vec
 
 
 class RelationSpan:
@@ -80,7 +90,7 @@ class RelationSpan:
         self.index = {d: i for i, d in enumerate(self.basis)}
         if len(self.index) != len(self.basis):
             raise DiagramError("basis has repeated diagrams")
-        self.pivots = {}      # pivot column -> normalized int row
+        self.pivots = {}      # pivot column -> fully reduced int row
         self.rows = []        # original rows, as inserted (int sparse)
         self.read_only = False
 
@@ -88,10 +98,7 @@ class RelationSpan:
     def over_order(n, rows=()):
         from .diagrams import enumerate_chord_diagrams
         basis = sorted(enumerate_chord_diagrams(n), key=lambda d: d.word)
-        span = RelationSpan(basis)
-        for r in rows:
-            span.add(r)
-        return span
+        return RelationSpan(basis).add_all(rows)
 
     def vector_of(self, combo: DiagramSum):
         vec = {}
@@ -104,21 +111,40 @@ class RelationSpan:
 
     def add(self, row):
         """Insert a relation; accepts a DiagramSum or a sparse vector."""
+        return self.add_all([row])
+
+    def add_all(self, rows):
+        """Insert relations (DiagramSums or sparse vectors); all or nothing.
+
+        Every row is converted before any is inserted, so a bad row leaves
+        the span as it was.  `rows` keeps the caller's order; the pivots
+        take the nonzero rows highest lowest-column first.
+        """
         if self.read_only:
             raise ConsistencyError("shared span is read-only; add to a copy()")
-        if isinstance(row, DiagramSum):
-            row = self.vector_of(row)
-        vec = _int_row(row)
-        self.rows.append(vec)
-        red, col = _eliminate(vec, self.pivots)
-        if col is not None:
-            self.pivots[col] = _normalize(red)
+        vecs = [_int_row(self.vector_of(r) if isinstance(r, DiagramSum) else r)
+                for r in rows]
+        self.rows.extend(vecs)
+        pivots = self.pivots
+        for vec in sorted(filter(None, vecs), key=min, reverse=True):
+            vec = _eliminate(vec, pivots)
+            if not vec:
+                continue
+            new = _normalize(vec)
+            c = min(new)
+            # clear the new pivot column from the older rows; a row is
+            # replaced, never changed, since copies share rows
+            for p in [p for p, row in pivots.items() if c in row]:
+                pivots[p] = _normalize(_combine(dict(pivots[p]), new, c))
+            pivots[c] = new
         return self
 
     def copy(self) -> "RelationSpan":
         """A writable span with the same basis and rows.
 
-        Rows are never changed in place, so the copy shares them.
+        The copy shares the row dicts; inserting replaces a pivot row by a
+        new dict and never changes one in place, so the original (often a
+        read-only cached span) is untouched.
         """
         out = RelationSpan.__new__(RelationSpan)
         out.basis, out.index = self.basis, self.index
@@ -126,11 +152,6 @@ class RelationSpan:
         out.rows = list(self.rows)
         out.read_only = False
         return out
-
-    def add_all(self, rows):
-        for r in rows:
-            self.add(r)
-        return self
 
     @property
     def rank(self) -> int:
@@ -144,78 +165,31 @@ class RelationSpan:
             vec = self.vector_of(vec)
         if any(c not in range(len(self.basis)) for c in vec):
             raise DiagramError("vector indexed outside the basis")
-        red, col = _eliminate(_int_row(vec), self.pivots)
-        return col is None
+        return not _eliminate(_int_row(vec), self.pivots)
 
     def quotient_dim(self) -> int:
         return len(self.basis) - self.rank
 
     # -- dual functionals ------------------------------------------------
 
-    def _rref(self):
-        """Reduced row echelon form of the pivot rows, over Fraction."""
-        rows = {c: {k: Fraction(v) for k, v in r.items()}
-                for c, r in self.pivots.items()}
-        for c in sorted(rows, reverse=True):
-            r = rows[c]
-            lead = r[c]
-            r = {k: v / lead for k, v in r.items()}
-            rows[c] = r
-            for c2, r2 in rows.items():
-                if c2 == c or c not in r2:
-                    continue
-                f = r2[c]
-                new = {k: v for k, v in r2.items()}
-                for k, v in r.items():
-                    nv = new.get(k, Fraction(0)) - f * v
-                    if nv == 0:
-                        new.pop(k, None)
-                    else:
-                        new[k] = nv
-                rows[c2] = new
-        return rows
-
     def dual_basis(self):
-        """Weight systems spanning the annihilator of the row space."""
-        rref = self._rref()
-        pivot_cols = set(rref)
-        free_cols = [i for i in range(len(self.basis)) if i not in pivot_cols]
-        out = []
-        for f in free_cols:
-            values = {self.basis[f]: Fraction(1)}
-            for c, row in rref.items():
-                coeff = row.get(f)
-                if coeff:
-                    values[self.basis[c]] = -coeff
-            out.append(WeightSystem(self._basis_order(), values))
-        return out
+        """Weight systems spanning the annihilator of the row space.
+
+        One per free column f: 1 at f and -row[f] / row[c] at each pivot
+        column c, read off the fully reduced pivot rows.
+        """
+        values = {f: {self.basis[f]: Fraction(1)}
+                  for f in range(len(self.basis)) if f not in self.pivots}
+        for c, row in sorted(self.pivots.items()):
+            for f, v in row.items():
+                if f != c:
+                    values[f][self.basis[c]] = Fraction(-v, row[c])
+        order = self._basis_order()
+        return [WeightSystem(order, vals) for vals in values.values()]
 
     def _basis_order(self):
         d = self.basis[0]
         return d.n if isinstance(d, ChordDiagram) else d.order
-
-    # -- diagnostics ------------------------------------------------------
-
-    def rank_mod_p(self, p: int) -> int:
-        """Rank over GF(p); cross-check only, not on the trusted path."""
-        pivots = {}
-        for row in self.rows:
-            vec = {c: v % p for c, v in row.items() if v % p}
-            while vec:
-                c = min(vec)
-                piv = pivots.get(c)
-                if piv is None:
-                    inv = pow(vec[c], p - 2, p)
-                    pivots[c] = {k: (v * inv) % p for k, v in vec.items()}
-                    break
-                f = vec[c]
-                new = {}
-                for col in set(vec) | set(piv):
-                    val = (vec.get(col, 0) - f * piv.get(col, 0)) % p
-                    if val:
-                        new[col] = val
-                vec = new
-        return len(pivots)
 
 
 class WeightSystem:

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vassiliev import diagrams
 from vassiliev.diagrams import (
     CCD,
     ChordDiagram,
@@ -58,13 +59,39 @@ def test_least_sequence_stops_at_the_first_larger_symbol():
     assert least_sequence([0, 1], symbols) == ((0, 0), [0])
 
 
-def test_canonical_word_is_the_least_relabelled_rotation():
-    for n in range(1, 6):
+def least_relabelled_rotation(word):
+    return min(_relabel_first_occurrence(word[i:] + word[:i])
+               for i in range(len(word)))
+
+
+def permuted_words(max_n):
+    """Every matching's word with its labels as built, reversed and
+    shuffled, so most are far from first-occurrence order."""
+    rnd = random.Random(7)
+    for n in range(1, max_n + 1):
         for m in _matchings(list(range(2 * n))):
             word = _word_from_matching(m, 2 * n)
-            assert _canonical_word(word) == min(
-                _relabel_first_occurrence(word[i:] + word[:i])
-                for i in range(2 * n))
+            labels = list(range(1, n + 1))
+            rnd.shuffle(labels)
+            yield word
+            yield tuple(n + 1 - s for s in word)
+            yield tuple(labels[s - 1] for s in word)
+
+
+def test_canonical_word_is_the_least_relabelled_rotation():
+    for word in permuted_words(5):
+        diagrams._CANONICAL_MEMO.clear()
+        assert _canonical_word(word) == least_relabelled_rotation(word)
+        # the memo now holds the orbit; a rotation of the word hits it
+        assert _canonical_word(word[1:] + word[:1]) == _canonical_word(word)
+
+
+def test_canonical_memo_stays_under_its_cap(monkeypatch):
+    monkeypatch.setattr(diagrams, "_CANONICAL_MEMO", {})
+    monkeypatch.setattr(diagrams, "_CANONICAL_MEMO_CAP", 25)
+    for word in permuted_words(5):
+        assert _canonical_word(word) == least_relabelled_rotation(word)
+        assert len(diagrams._CANONICAL_MEMO) <= 25
 
 
 def test_malformed_words_rejected():

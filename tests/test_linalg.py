@@ -1,13 +1,18 @@
 import random
+from copy import deepcopy
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from vassiliev.diagrams import ChordDiagram, DiagramSum
 from vassiliev.errors import DiagramError
-from vassiliev.linalg import RelationSpan, WeightSystem, _eliminate, _normalize
+from vassiliev import linalg
+from vassiliev.linalg import RelationSpan, WeightSystem, _eliminate
 from vassiliev.relations import four_t_relations, quotient_spans
+
+from gfp_oracle import rank_mod_p
 
 PRIMES = (2147483647, 2305843009213693951)  # both > 2^31
 
@@ -47,6 +52,9 @@ def test_inexact_entries_rejected():
             span.add({0: bad})
         with pytest.raises(DiagramError):
             span.member({0: 1, 1: bad})
+    # all or nothing: the good row before the bad one is not kept either
+    with pytest.raises(DiagramError):
+        span.add_all([{0: 1}, {1: 0.5}])
     assert span.rank == 0 and span.rows == []
 
 
@@ -85,7 +93,7 @@ def test_mod_p_agreement():
     for n in (3, 4):
         span = full_span(n)
         for p in PRIMES:
-            assert span.rank_mod_p(p) == span.rank
+            assert rank_mod_p(span.rows, p) == span.rank
     # random integer matrices
     for trial in range(20):
         cols = rnd.randint(1, 8)
@@ -95,7 +103,40 @@ def test_mod_p_agreement():
                    if rnd.random() < 0.6}
             span.add({c: v for c, v in row.items() if v})
         for p in PRIMES:
-            assert span.rank_mod_p(p) == span.rank
+            assert rank_mod_p(span.rows, p) == span.rank
+
+
+def reduced_echelon(rows):
+    """Oracle for `RelationSpan.pivots`: Gauss-Jordan over `Fraction` on
+    the rows as given, each result row scaled to primitive integers with a
+    positive lead and keyed by its lead column."""
+    done = {}
+    for row in rows:
+        vec = {c: Fraction(v) for c, v in row.items() if v}
+        for c, piv in done.items():
+            f = vec.get(c)
+            if f:
+                for k, v in piv.items():
+                    vec[k] = vec.get(k, 0) - f * v
+                vec = {k: v for k, v in vec.items() if v}
+        if not vec:
+            continue
+        lead = min(vec)
+        vec = {k: v / vec[lead] for k, v in vec.items()}
+        for c, piv in done.items():
+            f = piv.get(lead)
+            if f:
+                for k, v in vec.items():
+                    piv[k] = piv.get(k, 0) - f * v
+                done[c] = {k: v for k, v in piv.items() if v}
+        done[lead] = vec
+    out = {}
+    for c, vec in done.items():
+        den = lcm(*(v.denominator for v in vec.values()))
+        ints = {k: int(v * den) for k, v in vec.items()}
+        g = gcd(*ints.values())
+        out[c] = {k: v // g for k, v in ints.items()}
+    return out
 
 
 @settings(max_examples=60, deadline=None)
@@ -103,50 +144,14 @@ def test_mod_p_agreement():
                          min_size=4, max_size=4), min_size=1, max_size=6))
 def test_rank_matches_dense_oracle(rows):
     span = RelationSpan(tuple(range(4)))
-    for r in rows:
-        span.add({i: v for i, v in enumerate(r) if v})
-    # dense Gaussian elimination over Fraction as the oracle
-    mat = [[Fraction(v) for v in r] for r in rows]
-    rank = 0
-    for col in range(4):
-        pivot = None
-        for i in range(rank, len(mat)):
-            if mat[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pr = mat[rank]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                f = mat[i][col] / pr[col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], pr)]
-        rank += 1
-    assert span.rank == rank
+    sparse = [{i: v for i, v in enumerate(r) if v} for r in rows]
+    for r in sparse:
+        span.add(r)
+    assert span.rank == len(reduced_echelon(sparse))
     assert span.quotient_dim() + span.rank == 4
 
 
-# -- oracles for the in-place elimination and the integer annihilation check
-
-
-def eliminate_by_union(vec, pivots):
-    """Oracle for `_eliminate`: each step builds a new row over the union
-    of the working row's and the pivot row's columns."""
-    vec = dict(vec)
-    while vec:
-        c = min(vec)
-        piv = pivots.get(c)
-        if piv is None:
-            return vec, c
-        a, b = piv[c], vec[c]
-        new = {}
-        for col in set(vec) | set(piv):
-            val = a * vec.get(col, 0) - b * piv.get(col, 0)
-            if val:
-                new[col] = val
-        vec = new
-    return {}, None
+# -- oracles for the fully reduced pivots and the integer annihilation check
 
 
 def annihilates_by_fractions(w, span):
@@ -167,20 +172,39 @@ small_rows = st.lists(st.dictionaries(st.integers(0, 6),
 
 
 @settings(max_examples=80, deadline=None)
-@given(small_rows, small_rows)
-def test_elimination_matches_union_oracle(rows, queries):
-    span = RelationSpan(tuple(range(7)))
-    pivots = {}
-    for r in rows:
-        span.add(r)
-        red, col = eliminate_by_union(r, pivots)
-        if col is not None:
-            pivots[col] = _normalize(red)
-    assert span.pivots == pivots
-    assert span.rank == len(pivots)
+@given(small_rows, small_rows, st.randoms(use_true_random=False))
+def test_pivots_match_reduced_echelon_oracle(rows, queries, rnd):
+    oracle = reduced_echelon(rows)
+    one_by_one = RelationSpan(tuple(range(7)))
+    for k, r in enumerate(rows):
+        one_by_one.add(r)
+        assert one_by_one.pivots == reduced_echelon(rows[:k + 1])
+    shuffled = rnd.sample(rows, len(rows))
+    at_once = RelationSpan(tuple(range(7))).add_all(rows)
+    assert at_once.pivots == oracle and at_once.rows == rows
+    assert RelationSpan(tuple(range(7))).add_all(shuffled).pivots == oracle
+    # a copy grown from a prefix leaves the prefix span's rows alone
+    half = RelationSpan(tuple(range(7))).add_all(shuffled[:len(rows) // 2])
+    before = deepcopy(half.pivots)
+    assert half.copy().add_all(shuffled[len(rows) // 2:]).pivots == oracle
+    assert half.pivots == before
     for q in rows + queries:
-        assert _eliminate(q, pivots) == eliminate_by_union(q, pivots)
-        assert span.member(q) == (eliminate_by_union(q, pivots)[1] is None)
+        assert at_once.member(q) == (len(reduced_echelon(rows + [q]))
+                                     == len(oracle))
+
+
+def test_add_all_inserts_highest_lowest_column_first(monkeypatch):
+    seen = []
+
+    def spy(vec, pivots):
+        seen.append(min(vec))
+        return _eliminate(vec, pivots)
+
+    monkeypatch.setattr(linalg, "_eliminate", spy)
+    rows = [{0: 1, 3: 2}, {2: 1, 1: 1}, {}, {4: -1}, {1: 3}, {3: 1, 4: 1}]
+    span = RelationSpan(tuple(range(5))).add_all(rows)
+    assert seen == [4, 3, 1, 1, 0]
+    assert span.pivots == reduced_echelon(rows)
 
 
 def perturbed(w, diagram, delta):

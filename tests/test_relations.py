@@ -1,4 +1,7 @@
+import json
 import random
+from copy import deepcopy
+from hashlib import sha256
 
 import pytest
 from fractions import Fraction
@@ -79,6 +82,42 @@ def test_quotient_spans_are_shared_and_read_only():
     grown.add(row)
     assert grown.rank == four_t.rank + 1
     assert four_t.rank == 2 and len(four_t.rows) == len(four_t_relations(3))
+
+
+def test_growing_a_copy_leaves_the_cached_span_unchanged():
+    four_t = quotient_spans(5)[0]
+    before = deepcopy((four_t.pivots, four_t.rows))
+    grown = four_t.copy().add_all(
+        [DiagramSum([(d, 1)]) for d in split_diagram_span(5)])
+    assert grown.pivots == quotient_spans(5)[1].pivots
+    assert (four_t.pivots, four_t.rows) == before
+
+
+# (basis, 4T rank, dim mod 4T, primitive dim, sha256 of the primitive
+# dual basis as the benchmark digests it), captured before the pivot rows
+# were kept fully reduced
+PINNED_CHORD_OUTPUTS = {
+    2: (2, 0, 2, 1, "87f956b14f46f955f2ff68f006324eea"
+                    "69aa7ee4467df42a9c27c25dd3ee7ee1"),
+    3: (5, 2, 3, 1, "8c7651959e54769f74f3157a38f43765"
+                    "05c821ca1a16bff11ed7ca5a728415d3"),
+    4: (18, 12, 6, 2, "7ac22a82fbf4f9c3811a447fa721b9a9"
+                      "75f9ba8868f6d2f318fadf9376c7bb1e"),
+    5: (105, 95, 10, 3, "954d51f9e22f14e057e809f0194e3bcf"
+                        "0a54e3cb01f65c7c4bd49e5fc78387ab"),
+    6: (902, 883, 19, 5, "153e183602c5db18b14a8766eb703cf8"
+                         "157789c7994556150c112187727efc9c"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_CHORD_OUTPUTS))
+def test_chord_outputs_are_pinned(n):
+    four_t, primitive = quotient_spans(n)
+    dual = [sorted((d.as_text(), str(v)) for d, v in w.values.items())
+            for w in primitive.dual_basis()]
+    digest = sha256(json.dumps(dual, sort_keys=True).encode()).hexdigest()
+    assert (len(four_t.basis), four_t.rank, four_t.quotient_dim(),
+            primitive.quotient_dim(), digest) == PINNED_CHORD_OUTPUTS[n]
 
 
 def test_stu_golden_two_gon():
