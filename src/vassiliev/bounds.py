@@ -193,37 +193,22 @@ def brute_force_class_count(n: int) -> int:
 # composite bounds and the report
 # ---------------------------------------------------------------------------
 
-def primitive_bound_seq(n: int) -> int:
-    """p_k for the partition sums: p_2 = 1, closed form beyond."""
-    if n == 2:
-        return 1
-    return primitive_bound(n)
-
-
-@lru_cache(maxsize=None)
-def _partitions_min2(n: int, smallest: int = 2):
-    """Partitions of n into parts >= smallest, nondecreasing tuples."""
-    if n == 0:
-        return ((),)
-    out = []
-    for part in range(smallest, n + 1):
-        for rest in _partitions_min2(n - part, part):
-            out.append((part,) + rest)
-    return tuple(out)
-
-
 def total_bound(n: int) -> int:
     """Bound for the full space at order n: sum of products of primitive
-    bounds over all partitions of n into parts >= 2."""
+    bounds over all partitions of n into parts >= 2.
+
+    One pass of the partition recurrence: t[m] collects the partitions of
+    m into the parts seen so far, and part k (bound p_k, with p_2 = 1)
+    adds p_k t[m - k] to every t[m].
+    """
     if n < 2:
         raise ValueError("n >= 2 required")
-    total = 0
-    for parts in _partitions_min2(n):
-        prod = 1
-        for k in parts:
-            prod *= primitive_bound_seq(k)
-        total += prod
-    return total
+    t = [1] + [0] * n
+    for k in range(2, n + 1):
+        p = 1 if k == 2 else primitive_bound(k)
+        for m in range(k, n + 1):
+            t[m] += p * t[m - k]
+    return t[n]
 
 
 def half_factorial(n: int) -> Fraction:

@@ -251,13 +251,12 @@ class CCD:
     `vertices[i]` is the 3-tuple of targets of internal vertex i in its
     counterclockwise slot order.  Every external vertex has exactly one
     incident edge.  Total vertex count 2n with n = order.  `chords` holds
-    the external-external edges as sorted pairs; `build` sets it, and None
-    is allowed only when no external vertex is left for a chord.
+    the external-external edges as sorted pairs.
     """
 
     ext: int
     vertices: tuple
-    chords: tuple | None = None
+    chords: tuple = ()
 
     def __post_init__(self):
         if self.ext < 1:
@@ -284,8 +283,7 @@ class CCD:
         chord_ends = [p for p in range(self.ext) if p not in ext_seen]
         if len(chord_ends) % 2:
             raise DiagramError("unmatched external vertex")
-        if self.chords is not None and (
-                any(len(c) != 2 for c in self.chords)
+        if (any(len(c) != 2 for c in self.chords)
                 or sorted(p for c in self.chords for p in c) != chord_ends):
             raise DiagramError("chords must pair up the free external vertices")
         for p, refs in ext_seen.items():
@@ -303,20 +301,7 @@ class CCD:
     @property
     def chord_pairs(self):
         """External-external edges (sorted pairs)."""
-        if self.chords is not None:
-            return self.chords
-        used = set()
-        for slots in self.vertices:
-            for tgt in slots:
-                if tgt[0] == "x":
-                    used.add(tgt[1])
-        free = [p for p in range(self.ext) if p not in used]
-        if free:
-            raise DiagramError(
-                "chord pairing is ambiguous; construct via from_chord_diagram"
-                " or pass chords to build()"
-            )
-        return ()
+        return self.chords
 
     @staticmethod
     def from_chord_diagram(d: ChordDiagram) -> "CCD":

@@ -304,12 +304,12 @@ def simplify(code: GaussCode, budget=None) -> GaussCode:
         return start
     best = start
     best_key = (len(start.passages), start.canonical_key())
-    seen = {start.canonical_key()}
-    heap = [(len(start.passages), start.canonical_key(), 0, start)]
+    seen = {best_key[1]}
+    # `seen` makes every key on the heap unique, so codes are never compared
+    heap = [(*best_key, start)]
     states = 0
-    tie = 0
     while heap and states < budget:
-        _, _, _, cur = heappop(heap)
+        _, _, cur = heappop(heap)
         states += 1
         for nxt in reidemeister_three(cur):
             red = _greedy_reduce(nxt)
@@ -322,8 +322,7 @@ def simplify(code: GaussCode, budget=None) -> GaussCode:
             cand = (len(red.passages), key)
             if cand < best_key:
                 best, best_key = red, cand
-            tie += 1
-            heappush(heap, (len(red.passages), key, tie, red))
+            heappush(heap, (*cand, red))
     return best
 
 

@@ -21,6 +21,11 @@
   Reidemeister-simplified copy of the code.  Normalised so that its
   weight system takes value 1 on the chord diagram 123123 (the dual-basis
   normalisation); on that scale the right trefoil has v3 = 1/2.
+
+`a2_alexander` and `invariant_v3` are additive, so they evaluate a
+visible connected sum summand by summand.  Each summand is simplified
+once, and every evaluator's value on it is kept in the one table
+`_PARTS`.
 """
 
 from __future__ import annotations
@@ -58,24 +63,32 @@ def split_summands(code: GaussCode):
     return parts
 
 
-def _sum_over_summands(code: GaussCode, memo, evaluate) -> Fraction:
+# summand canonical key -> (the summand simplified once, {evaluator: value})
+_PARTS = {}
+
+
+def _sum_over_summands(code: GaussCode, evaluate) -> Fraction:
     """Sum of `evaluate` over the visible summands of an additive invariant.
 
-    Each factor is shrunk with a small deterministic move budget before
-    `evaluate` sees it; factor results are cached in `memo` by the
-    rotation- and relabel-invariant code key.
+    All invariants share one table, `_PARTS`, keyed by the rotation- and
+    relabel-invariant code key: each summand is shrunk once with a small
+    deterministic move budget, and each evaluator's value on the shrunk
+    copy is stored under the evaluator once it returns (a raise stores
+    nothing).  `evaluate` must be a module-level function: a lambda is a
+    new key on every call and would never hit the table.
     """
     total = Fraction(0)
     for part in split_summands(code):
         key = part.canonical_key()
-        got = memo.get(key)
+        entry = _PARTS.get(key)
+        if entry is None:
+            entry = _PARTS[key] = (simplify(part, budget=400), {})
+        small, values = entry
+        got = values.get(evaluate)
         if got is None:
-            got = memo[key] = evaluate(simplify(part, budget=400))
+            got = values[evaluate] = evaluate(small)
         total += got
     return total
-
-
-_PART_A2 = {}
 
 
 def _a2_of_delta(small: GaussCode) -> Fraction:
@@ -92,7 +105,7 @@ def a2_alexander(code: GaussCode) -> Fraction:
     Visible connected sums are evaluated factor by factor (a2 is
     additive), each factor reduced by Reidemeister moves first.
     """
-    return _sum_over_summands(code, _PART_A2, _a2_of_delta)
+    return _sum_over_summands(code, _a2_of_delta)
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +312,6 @@ def v3_jones(code: GaussCode) -> Fraction:
     return _v3_raw(code) * _v3_dual_scale()
 
 
-_PART_V3 = {}
-
-
 def _v3_small(small: GaussCode) -> Fraction:
     if len(small) > 18:
         raise DiagramError("code too large for the order-3 evaluator")
@@ -315,7 +325,7 @@ def invariant_v3(code: GaussCode) -> Fraction:
     additive: the Jones log-expansion has no h^1 term, so the h^3
     coefficients add over sums).
     """
-    return _sum_over_summands(code, _PART_V3, _v3_small)
+    return _sum_over_summands(code, _v3_small)
 
 
 def a2_weight_calibration() -> Fraction:

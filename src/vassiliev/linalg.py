@@ -231,10 +231,11 @@ class WeightSystem:
         return all(self(d) == 0
                    for d in self.values if is_split(d))
 
-    def normalized_at(self, diagram, value=1):
+    def normalized_at(self, diagram):
+        """This functional scaled to take the value 1 on `diagram`."""
         cur = self(diagram)
         if cur == 0:
             raise DiagramError("cannot normalise at a zero of the functional")
-        f = Fraction(value) / cur
+        f = 1 / cur
         return WeightSystem(self.order,
                             {d: v * f for d, v in self.values.items()})

@@ -19,8 +19,8 @@ Conventions frozen here:
   the fusion, and cycle growth by IHX for incomplete gons.  One-branch
   trees whose last three branch ends are consecutive on the circle are
   dropped: they vanish modulo split diagrams and 4T over the rationals
-  (chord-of-length-two placement independence), which `reduce` can verify
-  on the fly when `verify_drops` is set.
+  (chord-of-length-two placement independence), and the reduction checks
+  every dropped tree against the 4T+split span on the fly.
 """
 
 from __future__ import annotations
@@ -230,13 +230,13 @@ def _cycle_growth_edge(ccd: CCD, core):
 # the reduction
 # ---------------------------------------------------------------------------
 
-def reduce_tree_to_ngons(sigma, verify_drops=True, trace=None):
+def reduce_tree_to_ngons(sigma, trace=None):
     """Integral combination of complete n-gons matching the one-branch tree
     modulo 4T relations and split diagrams (over the rationals).
 
     Returns a DiagramSum over canonical complete n-gon CCDs with integer
-    coefficients.  With `verify_drops`, every tree dropped as trivial is
-    checked against the 4T+split span (a defensive exactness assertion).
+    coefficients.  Every tree dropped as trivial is checked against the
+    4T+split span (a defensive exactness assertion).
     `trace`, if given, is a list collecting rewrite steps as dicts.
     """
     sigma = check_perm(sigma)
@@ -277,11 +277,10 @@ def reduce_tree_to_ngons(sigma, verify_drops=True, trace=None):
                     [f"gon({coeff})", f"tree{tuple(new_att)}({coeff})"])
                 continue
             if dist == 1:
-                if verify_drops:
-                    expanded = stu_expand(tree_ccd((0,) + att))
-                    if not quotient_spans(n)[1].member(expanded):
-                        raise ConsistencyError(
-                            f"dropped tree {att} is not in the 4T+split span")
+                expanded = stu_expand(tree_ccd((0,) + att))
+                if not quotient_spans(n)[1].member(expanded):
+                    raise ConsistencyError(
+                        f"dropped tree {att} is not in the 4T+split span")
                 log("STU", f"drop consecutive-tail tree {att}", 1, [])
                 continue
             partner_pos = (pn + 1) % circle

@@ -488,16 +488,16 @@ def formal_vn_inverse(k: FormalKnot, n: int) -> FormalKnot:
 # ---------------------------------------------------------------------------
 
 def scheme_switch_is_trivial(code: GaussCode, scheme: CrossingScheme,
-                             selection, budget=None) -> bool:
+                             selection) -> bool:
     """Does switching the selected scheme sets yield a certified unknot?"""
     switched = code.switched(scheme.all_ids(selection))
-    return not simplify(switched, budget=budget).passages
+    return not simplify(switched).passages
 
 
-def all_switchings_trivial(code, scheme, budget=None) -> bool:
+def all_switchings_trivial(code, scheme) -> bool:
     n = len(scheme.sets)
     for mask in range(1, 1 << n):
         sel = [i for i in range(n) if mask >> i & 1]
-        if not scheme_switch_is_trivial(code, scheme, sel, budget=budget):
+        if not scheme_switch_is_trivial(code, scheme, sel):
             return False
     return True

@@ -116,8 +116,8 @@ def conway_polynomial(code: GaussCode) -> dict:
     return dict(_conway_link((tuple(code.passages),)))
 
 
-# its own memo: sharing the library's a2 memo would compare a value with itself
-_PART_A2_SKEIN = {}
+def _a2_of_conway(small: GaussCode) -> Fraction:
+    return Fraction(conway_polynomial(small).get(2, 0))
 
 
 def a2_skein(code: GaussCode) -> Fraction:
@@ -126,7 +126,8 @@ def a2_skein(code: GaussCode) -> Fraction:
     Visible connected sums are evaluated factor by factor (a2 is
     additive); each factor is reduced by Reidemeister moves first, since
     the skein recursion on a raw clasp diagram branches far too much.
+    The factor's value is stored in the library's summand table under
+    `_a2_of_conway`, apart from the Alexander evaluator's value, so the
+    two a2 evaluators are still compared and never read each other.
     """
-    return _sum_over_summands(
-        code, _PART_A2_SKEIN,
-        lambda small: Fraction(conway_polynomial(small).get(2, 0)))
+    return _sum_over_summands(code, _a2_of_conway)

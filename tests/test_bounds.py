@@ -64,6 +64,31 @@ def test_brute_guard():
         brute_force_xtilde(10)
 
 
+def partitions_min2(n, smallest=2):
+    """Partitions of n into parts >= smallest, nondecreasing tuples."""
+    if n == 0:
+        return [()]
+    return [(part,) + rest for part in range(smallest, n + 1)
+            for rest in partitions_min2(n - part, part)]
+
+
+def total_bound_by_partitions(n):
+    """Oracle for total_bound: the product of the primitive bounds
+    (p_2 = 1) summed over every partition of n into parts >= 2."""
+    total = 0
+    for parts in partitions_min2(n):
+        prod = 1
+        for k in parts:
+            prod *= 1 if k == 2 else primitive_bound(k)
+        total += prod
+    return total
+
+
+def test_total_bound_matches_partition_oracle():
+    for n in range(2, 31):
+        assert total_bound(n) == total_bound_by_partitions(n), n
+
+
 def test_total_bounds():
     assert total_bound(4) == 3
     assert total_bound(6) == 18

@@ -10,6 +10,10 @@ are exempt.
 A name bound by a plain `name = ...` inside a function counts as used
 when the function, nested functions included, loads it.  Names the
 function shares through `global` or `nonlocal` are exempt.
+
+A defaulted parameter of a `src` function that no call in `src`,
+`tests`, `demos` or `bench/workloads.py` sets is a knob with one value,
+so it must be a constant instead.
 """
 
 import ast
@@ -113,3 +117,119 @@ def test_local_rule_flags_unused_and_keeps_used():
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_locals(path):
     assert unused_locals(path.read_text()) == []
+
+
+def unset_defaults(defining, calling=()):
+    """Defaulted parameters of the functions in `defining` ({module:
+    source}) that no call sets, as sorted (module, function, parameter).
+
+    Calls are read from `defining` and from the sources in `calling`, and
+    matched to definitions by name; `C(...)` is a call of `C.__init__`.
+    A call sets a parameter by keyword, by position (after `self` or
+    `cls` for a method), or through `*args` / `**kwargs`.  Passing on an
+    enclosing function's own unset parameter (`f(budget=budget)`) sets
+    nothing.
+    """
+    targets = {}    # called name -> [(function, positional names)]
+    defaults = {}   # function -> its defaulted parameter names
+    enclosing = {}  # call node -> the function whose body holds it
+
+    def visit(module, node, prefix, cls, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and func is not None:
+                enclosing[child] = func
+            if isinstance(child, ast.ClassDef):
+                visit(module, child, f"{prefix}{child.name}.", child.name,
+                      func)
+            elif not isinstance(child, FUNCTIONS):
+                visit(module, child, prefix, cls, func)
+            else:
+                qual = (module, prefix + child.name)
+                args = child.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                if cls is not None and not any(
+                        getattr(d, "id", None) == "staticmethod"
+                        for d in child.decorator_list):
+                    positional = positional[1:]
+                defaults[qual] = set(
+                    positional[len(positional) - len(args.defaults):]) | {
+                    a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                    if d is not None}
+                names = {child.name}
+                if child.name == "__init__":
+                    names.add(cls)
+                for name in names:
+                    targets.setdefault(name, []).append((qual, positional))
+                visit(module, child, f"{prefix}{child.name}.", None, qual)
+
+    trees = [ast.parse(source) for source in calling]
+    for module, source in defining.items():
+        trees.append(ast.parse(source))
+        visit(module, trees[-1], "", None, None)
+
+    def passed_on(call, value):
+        func = enclosing.get(call)
+        if isinstance(value, ast.Name) and value.id in defaults.get(func, ()):
+            return func + (value.id,)
+        return None
+
+    sets = []   # (parameter set, the enclosing parameter it passes on)
+    for call in (node for tree in trees for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)):
+        name = getattr(call.func, "id", getattr(call.func, "attr", None))
+        spread = (any(isinstance(a, ast.Starred) for a in call.args)
+                  or any(kw.arg is None for kw in call.keywords))
+        for qual, positional in targets.get(name, ()):
+            if spread:
+                sets.extend((qual + (p,), None) for p in defaults[qual])
+                continue
+            sets.extend((qual + (p,), passed_on(call, arg))
+                        for p, arg in zip(positional, call.args))
+            sets.extend((qual + (kw.arg,), passed_on(call, kw.value))
+                        for kw in call.keywords)
+    live = set()
+    while True:
+        grown = live | {p for p, via in sets if via is None or via in live}
+        if grown == live:
+            break
+        live = grown
+    return sorted(qual + (p,) for qual, params in defaults.items()
+                  for p in params if qual + (p,) not in live)
+
+
+def test_default_rule_flags_unset_and_keeps_set():
+    library = ("class C:\n"
+               "    def __init__(self, a, b=1, c=2):\n"
+               "        self.a = a\n"
+               "    def m(self, x=0, *, y=1):\n"
+               "        return x\n"
+               "    @staticmethod\n"
+               "    def s(x=0, z=0):\n"
+               "        return x\n"
+               "def f(a, k=0):\n"
+               "    return a\n"
+               "def g(a, k=None):\n"
+               "    return f(a, k=k)\n"
+               "def h(a, w=0, u=0):\n"
+               "    return g(a, w), q(v=u), star(*a), stars(**a)\n"
+               "def q(v=0):\n"
+               "    return v\n"
+               "def star(x=0):\n"
+               "    return x\n"
+               "def stars(y=0):\n"
+               "    return y\n"
+               "def r(n, lo=0):\n"
+               "    return r(n - 1, lo)\n")
+    calls = "C(0, 2).m(1)\nC.s(5)\nh(1, u=3)\nr(3)\n"
+    assert unset_defaults({"lib": library}, [calls]) == [
+        ("lib", "C.__init__", "c"), ("lib", "C.m", "y"), ("lib", "C.s", "z"),
+        ("lib", "f", "k"), ("lib", "g", "k"), ("lib", "h", "w"),
+        ("lib", "r", "lo")]
+
+
+def test_no_unset_defaults():
+    src = [p for p in CHECKED if p.relative_to(ROOT).parts[0] == "src"]
+    calling = [p for p in CHECKED if p not in src]
+    calling.append(ROOT / "bench" / "workloads.py")
+    assert unset_defaults({p.stem: p.read_text() for p in src},
+                          [p.read_text() for p in calling]) == []

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from vassiliev.errors import ConsistencyError
+from vassiliev import invariants
+from vassiliev.errors import ConsistencyError, DiagramError
 from vassiliev.gausscodes import (
     FIGURE_EIGHT,
     LEFT_TREFOIL,
@@ -32,7 +33,7 @@ from vassiliev.invariants import (
 )
 from vassiliev.ribbon import ribbon_gauss_code, ribbon_inverse_code
 
-from skein_oracle import a2_skein, conway_polynomial
+from skein_oracle import _a2_of_conway, a2_skein, conway_polynomial
 
 GOLDEN_A2 = {
     "unknot": (GaussCode.from_text(""), 0),
@@ -208,6 +209,47 @@ def test_calibrations():
     assert abs(v3_jones(RIGHT_TREFOIL)) == Fraction(1, 2)
     assert v3_jones(LEFT_TREFOIL) == -v3_jones(RIGHT_TREFOIL)
     assert v3_jones(FIGURE_EIGHT) == 0
+
+
+def test_a2_and_v3_simplify_each_summand_once(monkeypatch):
+    monkeypatch.setattr(invariants, "_PARTS", {})
+    simplified = []
+
+    def spy(code, budget):
+        simplified.append(code)
+        return simplify(code, budget=budget)
+
+    monkeypatch.setattr(invariants, "simplify", spy)
+    code = connected_sum(RIGHT_TREFOIL, FIGURE_EIGHT)
+    assert invariant_a2(code) == 0
+    assert invariant_v3(code) == v3_jones(RIGHT_TREFOIL)
+    assert len(simplified) == 2
+    assert {c.canonical_key() for c in simplified} == {
+        RIGHT_TREFOIL.canonical_key(), FIGURE_EIGHT.canonical_key()}
+
+
+def _refuses(small):
+    raise DiagramError("refused")
+
+
+def test_a_raising_evaluator_stores_nothing(monkeypatch):
+    monkeypatch.setattr(invariants, "_PARTS", {})
+    assert a2_alexander(RIGHT_TREFOIL) == 1
+    for _ in range(2):
+        with pytest.raises(DiagramError):
+            invariants._sum_over_summands(RIGHT_TREFOIL, _refuses)
+    [(_, values)] = invariants._PARTS.values()
+    assert values == {invariants._a2_of_delta: 1}
+    assert a2_alexander(RIGHT_TREFOIL) == 1
+
+
+def test_skein_and_alexander_agree_from_an_empty_table(monkeypatch):
+    monkeypatch.setattr(invariants, "_PARTS", {})
+    for name, (code, value) in GOLDEN_A2.items():
+        assert a2_skein(code) == a2_alexander(code) == value, name
+    # each evaluator keeps its own value: the oracle never reads Delta's
+    for _, values in invariants._PARTS.values():
+        assert set(values) == {_a2_of_conway, invariants._a2_of_delta}
 
 
 def test_v3_additive_and_mirror_odd():
