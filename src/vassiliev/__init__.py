@@ -8,7 +8,7 @@ Submodules:
 - ``ngons``       one-branch trees, complete n-gons, tree-to-n-gon reduction
 - ``bounds``      cycle-counting dimension bounds (Burnside machinery)
 - ``gausscodes``  Gauss codes, Reidemeister simplification, realizability
-- ``invariants``  low-order invariant evaluators, each checked two ways
+- ``invariants``  a2 and v3 by Gauss-diagram formulas (a2 checked two ways)
 - ``ribbon``      the ribbon knot family indexed by cyclic permutations
 - ``cli``         command-line front end
 """

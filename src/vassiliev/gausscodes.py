@@ -166,7 +166,8 @@ def reidemeister_one(code: GaussCode):
 
 def reidemeister_two(code: GaussCode):
     """All codes obtained by cancelling a bigon (adjacent over-over pair
-    matched by the same pair adjacent under-under elsewhere)."""
+    matched by the same pair adjacent under-under elsewhere).  `simplify`
+    takes only the first, from `_first_r2`; this is its test oracle."""
     ps = code.passages
     m = len(ps)
     out = []
@@ -266,17 +267,35 @@ def reidemeister_three(code: GaussCode):
     return out
 
 
+def _first_r2(code: GaussCode):
+    """`reidemeister_two(code)[0]`, or None, from one index of the
+    adjacent under-under pairs instead of a scan of every position pair."""
+    ps = code.passages
+    m = len(ps)
+    unders = {}  # each crossing has one under-passage: one k per pair
+    for k in range(m):
+        c, d = ps[k], ps[(k + 1) % m]
+        if not (c.over or d.over):
+            unders[frozenset((c.crossing, d.crossing))] = k
+    for i in range(m):
+        a, b = ps[i], ps[(i + 1) % m]
+        if a.over and b.over and a.sign * b.sign == -1:
+            k = unders.get(frozenset((a.crossing, b.crossing)))
+            if k is not None:
+                return _remove_positions(ps, {i, (i + 1) % m, k, (k + 1) % m})
+    return None
+
+
 def _greedy_reduce(code: GaussCode) -> GaussCode:
     while True:
         ones = reidemeister_one(code)
         if ones:
             code = ones[0]
             continue
-        twos = reidemeister_two(code)
-        if twos:
-            code = twos[0]
-            continue
-        return code
+        two = _first_r2(code)
+        if two is None:
+            return code
+        code = two
 
 
 def simplify_budget() -> int:

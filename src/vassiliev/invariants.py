@@ -1,26 +1,24 @@
-"""Low-order invariants of Gauss codes, each computable two ways.
+"""Low-order invariants of Gauss codes, by polynomial-time formulas.
 
-* `a2_gauss` - Polyak-Viro style subconfiguration count over pairs of
-  crossings, taken at the base point, which Polyak-Viro makes base-point
-  independent on realizable codes.  The pattern weights are frozen
-  constants, fitted once by `fit_pair_formula` and locked by golden
-  tests.
+Both orders share one counter of based k-arrow subconfigurations,
+`_arrow_features`, and one fitting routine, `fit_arrow_formula`; the
+pattern weights it found are frozen constants, locked by golden tests.
 
-* `a2_alexander` - the z^2 coefficient of the Conway polynomial, read
-  off `gausscodes.alexander_polynomial` (exact determinants, polynomial
-  time in the crossing number).  `invariant_a2` requires the two a2
-  evaluators to agree on every code.  The Conway skein recursion,
-  exponential in the crossing number, is kept in the tests as a third,
-  independent oracle.
+* `a2_gauss` - the order-2 Gauss-diagram formula: a signed count of
+  linked crossing pairs at the base point (Polyak-Viro).
+  `a2_alexander` - the z^2 coefficient of the Conway polynomial, read
+  off `gausscodes.alexander_polynomial` (exact determinants).
+  `invariant_a2` requires the two to agree on every code.  The Conway
+  skein recursion, exponential in the crossing number, is kept in the
+  tests as a third, independent oracle.
 
-* `kauffman_bracket` / `jones_polynomial` - state sum, exponential in the
-  crossing number; used as the independent oracle for the order-3
-  evaluator on small (or pre-simplified) codes.
-
-* `v3` - order-3 invariant: evaluated through the Jones expansion on a
-  Reidemeister-simplified copy of the code.  Normalised so that its
-  weight system takes value 1 on the chord diagram 123123 (the dual-basis
-  normalisation); on that scale the right trefoil has v3 = 1/2.
+* `invariant_v3` - the order-3 Gauss-diagram formula: five triple-arrow
+  patterns at weight 1/2 (Goussarov-Polyak-Viro), with no crossing cap.
+  It is normalised so that its weight system takes value 1 on the chord
+  diagram 123123 (the dual-basis normalisation); on that scale the right
+  trefoil has v3 = 1/2.  The Jones-polynomial state sum it was fitted
+  against is exponential in the crossing number and lives in the tests
+  as its oracle.
 
 `a2_alexander` and `invariant_v3` are additive, so they evaluate a
 visible connected sum summand by summand.  Each summand is simplified
@@ -31,9 +29,9 @@ once, and every evaluator's value on it is kept in the one table
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from itertools import combinations
 
-from .errors import ConsistencyError, DiagramError
+from .errors import ConsistencyError
 from .gausscodes import GaussCode, alexander_polynomial, simplify
 from .linalg import RelationSpan
 
@@ -109,58 +107,65 @@ def a2_alexander(code: GaussCode) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# pair-pattern counting (order 2)
+# based arrow-pattern counting (Gauss-diagram formulas of order 2 and 3)
 # ---------------------------------------------------------------------------
 
-def _pair_features(code: GaussCode):
-    """Counts of signed pair subconfigurations, one bucket per pattern.
+def _arrow_features(code: GaussCode, k: int):
+    """Signed counts of based k-arrow subconfigurations, one per pattern.
 
-    Pattern key: (arrangement, first flag of x, first flag of y), where
-    the arrangement of the four passages in code order is "xyxy" (linked),
-    "xyyx" (nested) or "xxyy" (disjoint), x being the crossing met first.
+    Pattern key: (word, flags).  The word lists the 2k passages of the k
+    crossings in code order, each crossing named by the order of its first
+    passage (so it starts 0, 1, ...); `flags` holds each crossing's over
+    flag at that first passage.  A subconfiguration counts with the
+    product of its crossing signs.
     """
     ps = code.passages
-    pos = {}
+    ends = {}
     for i, p in enumerate(ps):
-        pos.setdefault(p.crossing, []).append(i)
+        ends.setdefault(p.crossing, []).append(i)
+    # position << 3 | label sorts by position and keeps the label (k <= 8)
+    arrows = [(i << 3, j << 3, ps[i].over, ps[i].sign)
+              for i, j in sorted(ends.values())]
     feats = {}
-    ids = sorted(pos)
-    for ai in range(len(ids)):
-        for bi in range(ai + 1, len(ids)):
-            a, b = ids[ai], ids[bi]
-            (a1, a2), (b1, b2) = pos[a], pos[b]
-            marks = sorted([(a1, "x"), (a2, "x"), (b1, "y"), (b2, "y")])
-            if marks[0][1] == "y":
-                a, b = b, a
-                marks = [(i, "x" if m == "y" else "y") for i, m in marks]
-            arrangement = "".join(m for _, m in marks)
-            first_x = next(ps[i].over for i, m in marks if m == "x")
-            first_y = next(ps[i].over for i, m in marks if m == "y")
-            key = (arrangement, first_x, first_y)
-            w = ps[pos[a][0]].sign * ps[pos[b][0]].sign
-            feats[key] = feats.get(key, 0) + w
+    for combo in combinations(arrows, k):
+        marks, flags, w = [], [], 1
+        for n, (i, j, over, sign) in enumerate(combo):
+            marks += (i | n, j | n)
+            flags.append(over)
+            w *= sign
+        marks.sort()
+        key = (tuple([m & 7 for m in marks]), tuple(flags))
+        feats[key] = feats.get(key, 0) + w
     return feats
 
 
-# Calibrated against known a2 values over a battery of knots and
-# random Reidemeister images, then frozen (see tests/test_invariants.py).
+# Fitted by `fit_arrow_formula` against independent evaluators over a
+# battery of knots, then frozen (see tests/test_invariants.py).
 A2_PATTERN_WEIGHTS = {
-    ("xyxy", True, False): Fraction(1),
+    ((0, 1, 0, 1), (True, False)): Fraction(1),
+}
+V3_PATTERN_WEIGHTS = {
+    ((0, 1, 0, 2, 1, 2), (True, False, True)): Fraction(1, 2),
+    ((0, 1, 2, 0, 1, 2), (False, True, False)): Fraction(1, 2),
+    ((0, 1, 2, 0, 1, 2), (True, False, True)): Fraction(1, 2),
+    ((0, 1, 2, 0, 2, 1), (True, False, True)): Fraction(1, 2),
+    ((0, 1, 2, 1, 0, 2), (False, True, False)): Fraction(1, 2),
 }
 
 
-def evaluate_pair_formula(weights, code: GaussCode) -> Fraction:
-    """Weighted signed pair count at the base point, which Polyak-Viro
-    makes base-point independent on realizable codes."""
-    feats = _pair_features(code)
-    return sum((w * feats.get(k, 0) for k, w in weights.items()), Fraction(0))
+def evaluate_arrow_formula(weights, code: GaussCode, k: int) -> Fraction:
+    """Weighted signed k-arrow count at the base point.  For the frozen
+    weights Goussarov-Polyak-Viro make it base-point independent on
+    realizable codes."""
+    feats = _arrow_features(code, k)
+    return sum((w * feats.get(key, 0) for key, w in weights.items()),
+               Fraction(0))
 
 
 def a2_gauss(code: GaussCode) -> Fraction:
     """Order-2 invariant by counting linked pairs (over-then-under first
-    passages) at the base point, which Polyak-Viro makes base-point
-    independent on realizable codes."""
-    return evaluate_pair_formula(A2_PATTERN_WEIGHTS, code)
+    passages) at the base point (Polyak-Viro)."""
+    return evaluate_arrow_formula(A2_PATTERN_WEIGHTS, code, 2)
 
 
 def invariant_a2(code: GaussCode) -> Fraction:
@@ -173,104 +178,18 @@ def invariant_a2(code: GaussCode) -> Fraction:
     return fast
 
 
-# ---------------------------------------------------------------------------
-# Kauffman bracket / Jones polynomial (state sum; oracle duty only)
-# ---------------------------------------------------------------------------
-
-def kauffman_bracket(code: GaussCode) -> dict:
-    """Bracket polynomial in A as {exponent: coefficient}."""
-    ps = code.passages
-    m = len(ps)
-    if m == 0:
-        return {0: 1}
-    if m > 36:
-        raise DiagramError("state sum guarded to 18 crossings")
-    crossings = code.crossings
-    at = {}
-    for i, p in enumerate(ps):
-        at.setdefault(p.crossing, []).append(i)
-
-    def loops(choice):
-        parent = list(range(m))  # arcs: arc i runs from passage i to i+1
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            parent[find(x)] = find(y)
-
-        for cid, oriented in choice.items():
-            i, j = at[cid]
-            if oriented:
-                union((i - 1) % m, j)
-                union((j - 1) % m, i)
-            else:
-                union((i - 1) % m, (j - 1) % m)
-                union(i, j)
-        return len({find(x) for x in range(m)})
-
-    out = {}
-    for mask in range(1 << len(crossings)):
-        apow = 0
-        choice = {}
-        for k, cid in enumerate(crossings):
-            pick_a = bool(mask >> k & 1)
-            # A-smoothing of a positive crossing is the oriented one
-            # (this bracket satisfies <positive kink> = -A^3 <unknot>)
-            oriented = pick_a if ps[at[cid][0]].sign > 0 else not pick_a
-            choice[cid] = oriented
-            apow += 1 if pick_a else -1
-        nloops = loops(choice)
-        # delta^(loops-1) with delta = -A^2 - A^-2
-        for dexp, dcoef in _delta_power(nloops - 1).items():
-            e = apow + dexp
-            out[e] = out.get(e, 0) + dcoef
-    return {k: v for k, v in out.items() if v}
+def _v3_arrows(small: GaussCode) -> Fraction:
+    return evaluate_arrow_formula(V3_PATTERN_WEIGHTS, small, 3)
 
 
-@lru_cache(maxsize=64)
-def _delta_power(k: int):
-    poly = {0: 1}
-    for _ in range(k):
-        new = {}
-        for e, c in poly.items():
-            new[e + 2] = new.get(e + 2, 0) - c
-            new[e - 2] = new.get(e - 2, 0) - c
-        poly = new
-    return poly
+def invariant_v3(code: GaussCode) -> Fraction:
+    """v3 on the dual-basis scale, by the triple-arrow formula.
 
-
-def writhe(code: GaussCode) -> int:
-    return sum(p.sign for p in code.passages) // 2
-
-
-def jones_polynomial(code: GaussCode) -> dict:
-    """Jones polynomial as {power of t: coefficient} (integer powers)."""
-    br = kauffman_bracket(code)
-    w = writhe(code)
-    out = {}
-    for e, c in br.items():
-        e2 = e - 3 * w
-        coef = c * (-1) ** (3 * w % 2)
-        if e2 % 4:
-            raise ConsistencyError("bracket exponent not divisible by 4")
-        t = -e2 // 4
-        out[t] = out.get(t, 0) + coef
-    return {k: v for k, v in out.items() if v}
-
-
-def jones_h_coefficient(jones: dict, m: int) -> Fraction:
-    """Coefficient of h^m in V(e^h) = sum c_k e^{kh}."""
-    total = Fraction(0)
-    fact = 1
-    for i in range(1, m + 1):
-        fact *= i
-    for k, c in jones.items():
-        total += Fraction(c * k ** m, fact)
-    return total
+    Visible connected sums are evaluated factor by factor (v3 is
+    additive), each on the factor as simplified for the summand table:
+    C(c, 3) triples on the small copy are far fewer than on the raw one.
+    """
+    return _sum_over_summands(code, _v3_arrows)
 
 
 def _trefoil_shadow(switch):
@@ -288,46 +207,6 @@ def _shadow_alternating_sum(f, crossings) -> Fraction:
     return total
 
 
-@lru_cache(maxsize=1)
-def _v3_dual_scale() -> Fraction:
-    """Normalise the order-3 extraction against the chord diagram 123123.
-
-    The alternating sum of the raw invariant over the 8 resolutions of the
-    triple-point immersion respecting 123123 is the raw weight of that
-    diagram; dividing by it pins the weight to exactly 1 (the dual-basis
-    normalisation used everywhere else).
-    """
-    total = _shadow_alternating_sum(_v3_raw, (1, 2, 3))
-    if total == 0:
-        raise ConsistencyError("order-3 calibration degenerated to zero")
-    return 1 / total
-
-
-def _v3_raw(code: GaussCode) -> Fraction:
-    return jones_h_coefficient(jones_polynomial(code), 3) / 6
-
-
-def v3_jones(code: GaussCode) -> Fraction:
-    """Order-3 invariant from the Jones expansion (dual-basis scale)."""
-    return _v3_raw(code) * _v3_dual_scale()
-
-
-def _v3_small(small: GaussCode) -> Fraction:
-    if len(small) > 18:
-        raise DiagramError("code too large for the order-3 evaluator")
-    return v3_jones(small)
-
-
-def invariant_v3(code: GaussCode) -> Fraction:
-    """v3 on the dual-basis scale, via simplification + state sum.
-
-    Visible connected sums are evaluated factor by factor (v3 is
-    additive: the Jones log-expansion has no h^1 term, so the h^3
-    coefficients add over sums).
-    """
-    return _sum_over_summands(code, _v3_small)
-
-
 def a2_weight_calibration() -> Fraction:
     """Raw weight of the crossing diagram 1212 under a2 (should be 1)."""
     return _shadow_alternating_sum(a2_alexander, (1, 2))
@@ -337,21 +216,22 @@ def a2_weight_calibration() -> Fraction:
 # calibration harness (used by the tests to justify the frozen weights)
 # ---------------------------------------------------------------------------
 
-def fit_pair_formula(batch):
-    """Solve for pattern weights reproducing a2 on (code, value) pairs.
+def fit_arrow_formula(batch, k: int):
+    """Solve for k-arrow pattern weights reproducing the (code, value) pairs.
 
     Each code gives the row `features - value * e_value` over the basis
     `keys + ["value"]`; the system is inconsistent exactly when the value
     column is a pivot.  Free weights are 0.  Used in tests to re-derive
-    A2_PATTERN_WEIGHTS.
+    A2_PATTERN_WEIGHTS (k = 2) and V3_PATTERN_WEIGHTS (k = 3).
     """
-    rows = [(_pair_features(code), Fraction(value)) for code, value in batch]
-    keys = sorted({k for feats, _ in rows for k in feats})
+    rows = [(_arrow_features(code, k), Fraction(value))
+            for code, value in batch]
+    keys = sorted({key for feats, _ in rows for key in feats})
     span = RelationSpan(keys + ["value"])
     value_col = len(keys)
-    span.add_all({**{span.index[k]: v for k, v in feats.items()},
+    span.add_all({**{span.index[key]: v for key, v in feats.items()},
                   value_col: -value} for feats, value in rows)
     if value_col in span.pivots:
-        raise ConsistencyError("pair-pattern system is inconsistent")
+        raise ConsistencyError(f"{k}-arrow pattern system is inconsistent")
     return {keys[c]: Fraction(-row[value_col], row[c])
             for c, row in sorted(span.pivots.items()) if row.get(value_col)}

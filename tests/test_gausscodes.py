@@ -9,6 +9,7 @@ from vassiliev.gausscodes import (
     RIGHT_TREFOIL,
     GaussCode,
     Passage,
+    _first_r2,
     alexander_det,
     alexander_polynomial,
     connected_sum,
@@ -82,6 +83,23 @@ def test_r2_pattern():
     assert code.is_realizable()
     assert reidemeister_two(code)
     assert simplify(code).to_text() == ""
+
+
+def test_first_r2_is_the_first_of_all_r2_moves():
+    # goldens, ribbon members and inverses, and every single switch of each
+    codes = [RIGHT_TREFOIL, LEFT_TREFOIL, FIGURE_EIGHT, GaussCode(()),
+             GaussCode.from_text("O1+,O2-,U2-,U1+"),
+             connected_sum(RIGHT_TREFOIL, FIGURE_EIGHT)]
+    codes += [make(sigma)[0] for sigma in ((1, 2), (1, 2, 3), (1, 3, 2))
+              for make in (ribbon_gauss_code, ribbon_inverse_code)]
+    codes += [code.switched({c}) for code in list(codes)
+              for c in code.crossings]
+    moved = 0
+    for code in codes:
+        twos = reidemeister_two(code)
+        assert _first_r2(code) == (twos[0] if twos else None), code.to_text()
+        moved += bool(twos)
+    assert moved > 0
 
 
 def test_r3_preserves_knot():

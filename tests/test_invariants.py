@@ -18,21 +18,29 @@ from vassiliev.gausscodes import (
 )
 from vassiliev.invariants import (
     _a2_of_delta,
+    _shadow_alternating_sum,
+    _v3_arrows,
     a2_alexander,
     a2_gauss,
     a2_weight_calibration,
-    evaluate_pair_formula,
-    fit_pair_formula,
+    evaluate_arrow_formula,
+    fit_arrow_formula,
     invariant_a2,
     invariant_v3,
+    A2_PATTERN_WEIGHTS,
+    V3_PATTERN_WEIGHTS,
+)
+from vassiliev.ribbon import ribbon_gauss_code, ribbon_inverse_code
+
+from braids import braid_closure, random_closures
+from jones_oracle import (
+    _v3_small,
     jones_h_coefficient,
     jones_polynomial,
     kauffman_bracket,
     v3_jones,
-    A2_PATTERN_WEIGHTS,
+    v3_state_sum,
 )
-from vassiliev.ribbon import ribbon_gauss_code, ribbon_inverse_code
-
 from skein_oracle import _a2_of_conway, a2_skein, conway_polynomial
 
 GOLDEN_A2 = {
@@ -140,24 +148,28 @@ def test_pair_formula_refit_validates_on_holdout():
     for name, (code, value) in GOLDEN_A2.items():
         batch.append((code, value))
         batch.append((_random_reidemeister_image(rnd, code), value))
-    sol = fit_pair_formula(batch)
+    sol = fit_arrow_formula(batch, 2)
     holdout = [
         (connected_sum(FIGURE_EIGHT, RIGHT_TREFOIL), 0),
         (connected_sum(GOLDEN_A2["granny"][0], FIGURE_EIGHT), 1),
         (_random_reidemeister_image(rnd, LEFT_TREFOIL), 1),
-    ]
+    ] + [(code, a2_alexander(code)) for code in random_closures(5, 40, 10)]
     for code, value in holdout:
-        assert evaluate_pair_formula(sol, code) == value
-        assert evaluate_pair_formula(A2_PATTERN_WEIGHTS, code) == value
+        assert evaluate_arrow_formula(sol, code, 2) == value
+        assert evaluate_arrow_formula(A2_PATTERN_WEIGHTS, code, 2) == value
+
+
+def _rotations(code):
+    """The code read from each of its base points (the empty code once)."""
+    ps = code.passages
+    return [GaussCode(ps[r:] + ps[:r]) for r in range(max(len(ps), 1))]
 
 
 def _base_point_average(weights, code):
     """Oracle: the based pair count averaged over all base points."""
-    ps = code.passages
-    if not ps:
-        return Fraction(0)
-    rotations = (GaussCode(ps[r:] + ps[:r]) for r in range(len(ps)))
-    return sum(evaluate_pair_formula(weights, c) for c in rotations) / len(ps)
+    rotations = _rotations(code)
+    total = sum(evaluate_arrow_formula(weights, c, 2) for c in rotations)
+    return total / len(rotations)
 
 
 def _a2_corpus():
@@ -184,7 +196,7 @@ def test_a2_gauss_is_base_point_independent():
 
 def test_pair_formula_fit_rejects_inconsistent_values():
     with pytest.raises(ConsistencyError):
-        fit_pair_formula([(RIGHT_TREFOIL, 1), (RIGHT_TREFOIL, 2)])
+        fit_arrow_formula([(RIGHT_TREFOIL, 1), (RIGHT_TREFOIL, 2)], 2)
 
 
 def test_jones_goldens():
@@ -258,6 +270,63 @@ def test_v3_additive_and_mirror_odd():
     assert invariant_v3(granny) == 2 * v3_jones(RIGHT_TREFOIL)
     assert invariant_v3(square) == 0
     assert invariant_v3(GaussCode.from_text("")) == 0
+
+
+def test_braid_closures():
+    # sigma_1^3 closes to the right trefoil; links are refused
+    trefoil = braid_closure((1, 1, 1), 2)
+    assert trefoil.canonical_key() == RIGHT_TREFOIL.canonical_key()
+    assert braid_closure((1, 1), 2) is None
+    assert braid_closure((1, -1, 2), 4) is None
+    assert all(code.is_realizable() for code in random_closures(6, 20, 12))
+
+
+def test_v3_formula_matches_the_state_sum(monkeypatch):
+    # goldens through the summand table, held-out closed braids (never in
+    # the refit corpus) raw; the state sum is the independent oracle
+    monkeypatch.setattr(invariants, "_PARTS", {})
+    for name, (code, _) in GOLDEN_A2.items():
+        assert invariant_v3(code) == v3_state_sum(code), name
+    # each evaluator keeps its own value: the oracle never reads the formula's
+    for _, values in invariants._PARTS.values():
+        assert set(values) == {_v3_small, _v3_arrows}
+    held_out = random_closures(2, 200, 10)
+    for code in held_out:
+        assert _v3_arrows(code) == v3_jones(code), code.to_text()
+
+
+def test_v3_formula_is_base_point_independent():
+    codes = ([code for code, _ in GOLDEN_A2.values()] + _members()
+             + random_closures(3, 40, 12))
+    for code in codes:
+        value = _v3_arrows(code)
+        for r, rotated in enumerate(_rotations(code)):
+            assert _v3_arrows(rotated) == value, (code.to_text(), r)
+
+
+def test_v3_formula_is_mirror_odd_and_additive():
+    codes = random_closures(4, 30, 10)
+    for a, b in zip(codes, codes[1:]):
+        assert _v3_arrows(a.mirrored()) == -_v3_arrows(a)
+        both = connected_sum(a, b)
+        assert (_v3_arrows(both) == invariant_v3(both)
+                == _v3_arrows(a) + _v3_arrows(b))
+
+
+def test_v3_refit_rederives_the_frozen_weights():
+    # a row per base point of each code brings in the based patterns'
+    # rotation identities; codes of at most 12 crossings keep the state
+    # sum cheap
+    codes = [code for code, _ in GOLDEN_A2.values()]
+    codes += random_closures(1, 30, 12)
+    assert max(len(code) for code in codes) <= 12
+    batch = [(rotated, value) for code in codes
+             for value in [v3_jones(code)] for rotated in _rotations(code)]
+    assert fit_arrow_formula(batch, 3) == V3_PATTERN_WEIGHTS
+
+
+def test_v3_weight_on_123123_is_one():
+    assert _shadow_alternating_sum(_v3_arrows, (1, 2, 3)) == 1
 
 
 def test_dual_evaluation_consistent_on_battery():

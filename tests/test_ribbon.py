@@ -6,7 +6,7 @@ import pytest
 from vassiliev.diagrams import ChordDiagram, DiagramSum
 from vassiliev.errors import DiagramError
 from vassiliev.gausscodes import connected_sum, simplify
-from vassiliev.invariants import invariant_a2, invariant_v3
+from vassiliev.invariants import _v3_arrows, invariant_a2, invariant_v3
 from vassiliev.ngons import complete_ngon
 from vassiliev.relations import quotient_spans, stu_expand
 from vassiliev.ribbon import (
@@ -88,6 +88,24 @@ def test_order3_members_have_trivial_a2_and_matching_v3():
         code, _ = ribbon_gauss_code(sigma)
         assert invariant_a2(code) == 0
         assert invariant_v3(code) == w3(stu_expand(complete_ngon(sigma)))
+
+
+def test_v3_vanishes_on_members_of_orders_4_and_5():
+    # a member's invariants below its own order vanish, its inverse's too
+    for sigma in ((1, 2, 3, 4), (1, 3, 2, 4), (1, 2, 4, 3),
+                  (1, 2, 3, 4, 5), (1, 3, 5, 2, 4)):
+        for make in (ribbon_gauss_code, ribbon_inverse_code):
+            assert invariant_v3(make(sigma)[0]) == 0, (sigma, make.__name__)
+
+
+def test_v3_on_every_single_switch_of_an_order_4_member():
+    # no crossing cap: the formula on each simplified summand agrees with
+    # the formula on the raw code, a Reidemeister-invariance check
+    code, _ = ribbon_gauss_code((1, 3, 2, 4))
+    switched = [code.switched({c}) for c in code.crossings]
+    assert len(switched) == 27
+    for s in switched:
+        assert invariant_v3(s) == _v3_arrows(s), s.to_text()
 
 
 def test_inverse_negates_values():
