@@ -153,16 +153,17 @@ def _class_key(p):
 
 
 def brute_force_xtilde(n: int) -> int:
-    """Orbit count of inversion-classes of n-cycles under conjugation by t."""
+    """Orbit count of inversion-classes of n-cycles under conjugation by t:
+    each orbit is counted at its first n-cycle, which marks its classes."""
     if not 3 <= n <= BRUTE_GUARD:
         raise ResourceGuardError(f"brute force supports 3 <= n <= {BRUTE_GUARD}")
-    seen = set()
+    done = set()
+    orbits = 0
     for p in _cycles(n):
-        orbit_key = min(
-            _class_key(_conjugate_by_shift(p, m)) for m in range(n)
-        )
-        seen.add(orbit_key)
-    return len(seen)
+        if _class_key(p) not in done:
+            orbits += 1
+            done.update(_class_key(_conjugate_by_shift(p, m)) for m in range(n))
+    return orbits
 
 
 def brute_force_x_size(n: int, d: int) -> int:

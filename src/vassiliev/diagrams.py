@@ -10,8 +10,9 @@ rotations and relabelings.  Rotations are quotiented, reflections are not
 The trivalent generalisation (`CCD`) carries an oriented external circle
 plus internal trivalent vertices, each with a cyclic ordering of its
 three incident edge ends.  Reversing the cyclic order at one internal
-vertex is the antisymmetry move and costs a sign; `CCD.canonical`
-normalises orientations and reports the accumulated sign.
+vertex is the antisymmetry move and costs a sign.  `CCD.canonical`
+chooses each vertex's orientation when its traversal first meets it; the
+search over every flip mask is its test oracle (`tests/ccd_oracle.py`).
 
 `DiagramSum` is a formal linear combination with exact rational
 coefficients, used for all relation arithmetic downstream.
@@ -240,9 +241,6 @@ def _arc_separates(owner) -> bool:
 # cyclic order.  A target is ("x", p) for external vertex p, or ("v", j, s)
 # for slot s of internal vertex j.
 
-_FLIP_EFF = {0: 0, 2: 1, 1: 2}      # effective position of abs slot, flipped
-_FLIP_ABS = (0, 2, 1)               # abs slot at effective position, flipped
-
 
 @dataclass(frozen=True)
 class CCD:
@@ -379,80 +377,80 @@ class CCD:
 
     # -- canonical form ---------------------------------------------------
 
-    def _traversal(self, pairing, r, flips, label):
-        """Yield the certificate of the traversal that starts at external
-        point r, with internal vertex j flipped when flips[j].
-
-        The circle is read from r; each internal vertex met is queued and
-        its two other slots are read in effective order.  `label` is
-        filled with j -> (label, entry slot) as vertices are met.
-        """
-        E = self.ext
-        queue = []
-
-        def symbol(end):
-            if end[0] == "x":
-                return (0, (end[1] - r) % E)
-            _, j, s = end
-            e = _FLIP_EFF[s] if flips[j] else s
-            if j in label:
-                lab, entry = label[j]
-                return (1, lab, (e - entry) % 3)
-            label[j] = (len(label), e)
-            queue.append(j)
-            return (2, len(label) - 1)
-
-        for p in range(E):
-            yield symbol(pairing[("x", (p + r) % E)])
-            while queue:
-                j = queue.pop(0)
-                entry = label[j][1]
-                for k in (1, 2):
-                    e = (entry + k) % 3
-                    yield symbol(pairing[("v", j, _FLIP_ABS[e] if flips[j]
-                                          else e)])
-        if len(label) != len(self.vertices):
-            raise DiagramError("CCD graph is disconnected")
-
     def canonical(self):
-        """(canonical CCD, sign, as_null).
+        """(canonical CCD, sign, as_null): the relabelling by a traversal
+        with the least certificate over all starts and vertex flips.
 
-        Minimises the traversal certificate over external rotations and
-        internal orientation flips.  `sign` is -1 when the minimum needs an
-        odd number of antisymmetry flips; `as_null` flags diagrams carrying
-        an orientation-reversing automorphism (zero over the rationals).
+        A traversal reads the circle from its start and, breadth first, the
+        two other slots of each internal vertex met, in cyclic order or, if
+        flipped, the reverse.  A flip changes nothing read before its vertex
+        is met, so the search chooses it there (the search over every flip
+        mask is its test oracle): one state per start reads a symbol at a
+        time, a state meeting a new vertex forks into both orientations, and
+        only states reading the least symbol go on.  `sign` is the parity of
+        the survivor with the least (flip mask, r); `as_null` flags an
+        orientation-reversing automorphism, survivors of both parities.
         """
         cached = getattr(self, "_canon", None)
         if cached is not None:
             return cached
-        E = self.ext
-        I = len(self.vertices)
+        E, I = self.ext, len(self.vertices)
         pairing = self.pairing()
-        starts = [(tuple((mask >> i) & 1 for i in range(I)), r)
-                  for mask in range(1 << I) for r in range(E)]
-        _, winners = least_sequence(
-            starts, lambda s: self._traversal(pairing, s[1], s[0], {}))
-        parities = {sum(flips) % 2 for flips, _ in winners}
-        # rerun the winner to the end for its labels (and the connectivity
-        # check, which an aborted traversal never reaches)
-        flips, r = winners[0]
-        label = {}
-        for _ in self._traversal(pairing, r, flips, label):
-            pass
+        # ends as ints: external p is p, slot s of vertex j is E + 3j + s;
+        # symbols in certificate order: external q - r, E + 3 label + slot
+        num = lambda end: end[1] if end[0] == "x" else E + 3 * end[1] + end[2]
+        partner = {num(end): num(tgt) for end, tgt in pairing.items()}
+        NEW = E + 3 * I        # the symbol of a vertex met for the first time
+        # a state: (flip mask, r, ends queued, per vertex (label, entry slot,
+        # sense)); sense is -1 on a flipped vertex, whose slots read backwards
+        states = [(0, r, (), (None,) * I) for r in range(E)]
+        p = head = met = 0
+        while head < 2 * met or p < E:
+            syms, reads = [], []
+            for _, r, queue, info in states:
+                t = queue[head] if head < 2 * met else partner[(r + p) % E]
+                j, s = divmod(t - E, 3)
+                if t < E:
+                    syms.append((t - r) % E)
+                elif info[j] is None:
+                    syms.append(NEW)
+                else:
+                    lab, entry, sense = info[j]
+                    syms.append(E + 3 * lab + (s - entry) * sense % 3)
+                reads.append(t)
+            least = min(syms)
+            head, p = (head + 1, p) if head < 2 * met else (head, p + 1)
+            kept = [(st, t) for st, t, sym in zip(states, reads, syms)
+                    if sym == least]
+            states = [st for st, _ in kept]
+            if least == NEW:
+                states = []
+                for (mask, r, queue, info), t in kept:
+                    j, s = divmod(t - E, 3)
+                    for sense in (1, -1):
+                        states.append((mask | (sense < 0) << j, r, queue + (
+                            partner[t - s + (s + sense) % 3],
+                            partner[t - s + (s + 2 * sense) % 3]),
+                            info[:j] + ((met, s, sense),) + info[j + 1:]))
+                met += 1
+        if met != I:
+            raise DiagramError("CCD graph is disconnected")
+        mask, r, _, info = min(states)   # (mask, r) is unique to a state
+        null = len({m.bit_count() % 2 for m, _, _, _ in states}) == 2
 
-        # relabel by the winning traversal: external p -> p - r, vertex j
-        # -> its label, each slot -> its effective slot minus the entry slot
+        # relabel by the winner: external p -> p - r, vertex j -> its label,
+        # each slot -> its offset from the entry slot in the chosen orientation
         def relabel(end):
             if end[0] == "x":
                 return ("x", (end[1] - r) % E)
             _, j, s = end
-            lab, entry = label[j]
-            eff = _FLIP_EFF[s] if flips[j] else s
-            return ("v", lab, (eff - entry) % 3)
+            lab, entry, sense = info[j]
+            return ("v", lab, (s - entry) * sense % 3)
 
         canon = CCD.from_pairing({relabel(end): relabel(tgt)
                                   for end, tgt in pairing.items()})
-        result = (canon, -1 if sum(flips) % 2 else 1, len(parities) == 2)
+        object.__setattr__(canon, "_canon", (canon, 1, null))  # fixed point
+        result = (canon, -1 if mask.bit_count() % 2 else 1, null)
         object.__setattr__(self, "_canon", result)
         return result
 
@@ -460,13 +458,6 @@ class CCD:
         """Hashable identity of the canonical class (ignoring sign)."""
         canon, _, _ = self.canonical()
         return (canon.ext, canon.vertices, canon.chord_pairs)
-
-    def rigid_key(self):
-        """Isomorphism key that respects vertex orientations (no flips)."""
-        pairing = self.pairing()
-        flips = (0,) * len(self.vertices)
-        return least_sequence(range(self.ext), lambda r: self._traversal(
-            pairing, r, flips, {}))[0]
 
     def __hash__(self):
         return hash((self.ext, self.vertices, self.chord_pairs))

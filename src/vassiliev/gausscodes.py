@@ -286,16 +286,24 @@ def _first_r2(code: GaussCode):
     return None
 
 
+def _first_r1(code: GaussCode):
+    """`reidemeister_one(code)[0]`, its test oracle, or None: the first kink."""
+    ps = code.passages
+    m = len(ps)
+    for i in range(m):
+        if ps[i].crossing == ps[(i + 1) % m].crossing:
+            return _remove_positions(ps, {i, (i + 1) % m})
+    return None
+
+
 def _greedy_reduce(code: GaussCode) -> GaussCode:
     while True:
-        ones = reidemeister_one(code)
-        if ones:
-            code = ones[0]
-            continue
-        two = _first_r2(code)
-        if two is None:
+        move = _first_r1(code)
+        if move is None:
+            move = _first_r2(code)
+        if move is None:
             return code
-        code = two
+        code = move
 
 
 def simplify_budget() -> int:

@@ -4,6 +4,9 @@ from math import factorial
 import pytest
 
 from vassiliev.bounds import (
+    _class_key,
+    _conjugate_by_shift,
+    _cycles,
     bound_report,
     brute_force_class_count,
     brute_force_x_size,
@@ -46,6 +49,18 @@ def test_bound_sequence():
 def test_triple_agreement():
     for n in range(3, 10):
         assert primitive_bound(n) == xtilde_count(n) == brute_force_xtilde(n)
+
+
+def brute_force_xtilde_by_min_keys(n):
+    """Oracle for brute_force_xtilde: the least class key over each
+    n-cycle's conjugation orbit, counted over every n-cycle."""
+    return len({min(_class_key(_conjugate_by_shift(p, m)) for m in range(n))
+                for p in _cycles(n)})
+
+
+def test_orbit_marking_matches_min_orbit_keys():
+    for n in range(3, 9):
+        assert brute_force_xtilde(n) == brute_force_xtilde_by_min_keys(n)
 
 
 def test_class_count():

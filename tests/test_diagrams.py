@@ -1,7 +1,9 @@
 import copy
 import dataclasses
+import functools
 import pickle
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,9 @@ from vassiliev.diagrams import (
     sample_connected_ccds,
 )
 from vassiliev.errors import DiagramError, ResourceGuardError
+from vassiliev.ngons import complete_ngon, reduce_tree_to_ngons
+
+from ccd_oracle import exhaustive_canonical, rigid_key, traversal
 
 
 def test_canonical_examples():
@@ -252,23 +257,73 @@ def _scrambled(c, rnd):
     return CCD.from_pairing(pairing), (-1) ** sum(flip)
 
 
+def _fresh(c):
+    """A copy of c without its cached canonical form."""
+    return CCD(c.ext, c.vertices, c.chords)
+
+
+@functools.lru_cache(maxsize=1)
+def _connected_ccds():
+    """The connected CCDs of order <= 4 and 40 sampled ones of order 5."""
+    return tuple([c for n in range(1, 5) for c in enumerate_connected_ccds(n)]
+                 + sample_connected_ccds(5, 40))
+
+
 def test_canonical_form_is_the_min_certificate_and_a_fixed_point():
     rnd = random.Random(11)
-    ccds = [c for n in range(1, 5) for c in enumerate_connected_ccds(n)]
-    ccds += sample_connected_ccds(5, 40)
-    for c in ccds:
+    for c in _connected_ccds():
         moved, flip_sign = _scrambled(c, rnd)
         canon, sign, null = moved.canonical()
         assert canon == c
-        assert canon.canonical()[:2] == (canon, 1)
+        assert _fresh(canon).canonical()[:2] == (canon, 1)
         I = len(c.vertices)
         pairing = moved.pairing()
-        best = min(tuple(moved._traversal(
-                       pairing, r, [(m >> i) & 1 for i in range(I)], {}))
+        best = min(tuple(traversal(
+                       moved, pairing, r, [(m >> i) & 1 for i in range(I)], {}))
                    for m in range(1 << I) for r in range(moved.ext))
-        assert tuple(canon._traversal(canon.pairing(), 0, [0] * I, {})) == best
+        assert tuple(traversal(canon, canon.pairing(), 0, [0] * I, {})) == best
         if not null:
             assert sign == flip_sign
+
+
+@functools.lru_cache(maxsize=1)
+def _oracle_corpus():
+    """`_connected_ccds()`, every complete n-gon for n = 3..6, and every
+    CCD that `reduce_tree_to_ngons` canonicalises over the 120 order-5
+    trees; the tests search fresh copies, free of any cached form."""
+    ccds = list(_connected_ccds())
+    ccds += [complete_ngon(p) for n in range(3, 7)
+             for p in permutations(range(1, n + 1))]
+    search = CCD.canonical
+
+    def spy(self):
+        ccds.append(self)
+        return search(self)
+
+    CCD.canonical = spy
+    try:
+        for sigma in permutations(range(1, 6)):
+            reduce_tree_to_ngons(sigma)
+    finally:
+        CCD.canonical = search
+    return list(dict.fromkeys(ccds))
+
+
+def test_canonical_equals_the_exhaustive_oracle():
+    corpus = _oracle_corpus()
+    nulls = 0
+    for c in corpus:
+        want = exhaustive_canonical(_fresh(c))
+        assert _fresh(c).canonical() == want
+        nulls += want[2]
+    assert nulls and len(corpus) > 1000
+
+
+def test_canonical_seeds_its_fixed_point():
+    for c in _oracle_corpus():
+        canon, _, null = _fresh(c).canonical()
+        assert canon.canonical() == (canon, 1, null)
+        assert _fresh(canon).canonical() == (canon, 1, null)
 
 
 def test_canonical_rejects_a_component_off_the_circle():
@@ -279,7 +334,7 @@ def test_canonical_rejects_a_component_off_the_circle():
     with pytest.raises(DiagramError, match="CCD graph is disconnected"):
         c.canonical()
     with pytest.raises(DiagramError, match="CCD graph is disconnected"):
-        c.rigid_key()
+        rigid_key(c)
 
 
 def test_is_connected_ccd():

@@ -9,6 +9,7 @@ from vassiliev.gausscodes import (
     RIGHT_TREFOIL,
     GaussCode,
     Passage,
+    _first_r1,
     _first_r2,
     alexander_det,
     alexander_polynomial,
@@ -85,21 +86,35 @@ def test_r2_pattern():
     assert simplify(code).to_text() == ""
 
 
-def test_first_r2_is_the_first_of_all_r2_moves():
-    # goldens, ribbon members and inverses, and every single switch of each
+def _move_corpus():
+    """Goldens, ribbon members and inverses, and every single switch of each."""
     codes = [RIGHT_TREFOIL, LEFT_TREFOIL, FIGURE_EIGHT, GaussCode(()),
+             GaussCode.from_text("O1+,U1+"),
+             GaussCode.from_text("U4-,O1+,U2+,O3+,U1+,O2+,U3+,O4-"),
+             connected_sum(FIGURE_EIGHT, GaussCode.from_text("O1+,U1+")),
              GaussCode.from_text("O1+,O2-,U2-,U1+"),
              connected_sum(RIGHT_TREFOIL, FIGURE_EIGHT)]
     codes += [make(sigma)[0] for sigma in ((1, 2), (1, 2, 3), (1, 3, 2))
               for make in (ribbon_gauss_code, ribbon_inverse_code)]
-    codes += [code.switched({c}) for code in list(codes)
-              for c in code.crossings]
+    return codes + [code.switched({c}) for code in codes
+                    for c in code.crossings]
+
+
+def _assert_first_of_all(first, every):
     moved = 0
-    for code in codes:
-        twos = reidemeister_two(code)
-        assert _first_r2(code) == (twos[0] if twos else None), code.to_text()
-        moved += bool(twos)
+    for code in _move_corpus():
+        moves = every(code)
+        assert first(code) == (moves[0] if moves else None), code.to_text()
+        moved += bool(moves)
     assert moved > 0
+
+
+def test_first_r1_is_the_first_of_all_r1_moves():
+    _assert_first_of_all(_first_r1, reidemeister_one)
+
+
+def test_first_r2_is_the_first_of_all_r2_moves():
+    _assert_first_of_all(_first_r2, reidemeister_two)
 
 
 def test_r3_preserves_knot():
