@@ -25,6 +25,10 @@ from . import __version__
 from .errors import DiagramError, ResourceGuardError
 from .gausscodes import simplify_budget
 
+# `ribbon verify` tries all 2^n - 1 scheme switchings of a member and of
+# its inverse up to this order
+SWITCHINGS_MAX_ORDER = 7
+
 
 def _print_header(args):
     if not getattr(args, "no_header", False):
@@ -147,12 +151,16 @@ def cmd_ribbon(args):
     _print_header(args)
     checks = {"realizable": code.is_realizable()}
     n = len(sigma)
-    if n <= 3:
+    # a guarded check is reported as "skipped", never left out
+    if n <= SWITCHINGS_MAX_ORDER:
         checks["switchings_trivial"] = all_switchings_trivial(code, scheme)
         inv, ischeme = ribbon_inverse_code(sigma)
         checks["inverse_switchings_trivial"] = all_switchings_trivial(inv, ischeme)
-    if n <= 4:
-        checks["scheme_identity"] = verify_ohyama_identity(sigma)
+    else:
+        checks["switchings_trivial"] = "skipped"
+        checks["inverse_switchings_trivial"] = "skipped"
+    checks["scheme_identity"] = (verify_ohyama_identity(sigma) if n <= 4
+                                 else "skipped")
     if n <= 3:
         # the inverse member negates invariants of order <= n only
         from .invariants import invariant_a2, invariant_v3
@@ -161,7 +169,7 @@ def cmd_ribbon(args):
         if n >= 3:
             checks["v3_negates"] = bool(invariant_v3(inv) == -invariant_v3(code))
     print(json.dumps(checks))
-    return 0 if all(checks.values()) else 1
+    return 1 if False in checks.values() else 0
 
 
 def cmd_ohyama(args):

@@ -81,14 +81,14 @@ _CANONICAL_MEMO_CAP = 200000   # words; one orbit (2n of them) must fit
 _CANONICAL_MEMO = {}           # first-occurrence word -> canonical word
 
 
-def _canonical_word(word):
-    """The least relabelled rotation of `word`.
+def _least_rotation(key):
+    """The least relabelled rotation of the first-occurrence word `key`.
 
-    A miss stores the whole rotation orbit, so every other word of the
-    diagram hits after one relabelling.  The memo is cleared when the
-    next orbit would take it past _CANONICAL_MEMO_CAP.
+    This is the one memo of canonical chord words.  A miss stores the
+    whole rotation orbit, each rotation relabelled in first-occurrence
+    order, so every other word of the diagram hits.  The memo is cleared
+    when the next orbit would take it past _CANONICAL_MEMO_CAP.
     """
-    key = _relabel_first_occurrence(word)
     best = _CANONICAL_MEMO.get(key)
     if best is None:
         orbit = [tuple(_relabelled_rotation(key, r)) for r in range(len(key))]
@@ -115,7 +115,7 @@ class ChordDiagram:
             counts[s] = counts.get(s, 0) + 1
         if any(c != 2 for c in counts.values()):
             raise DiagramError("every chord label must appear exactly twice")
-        return ChordDiagram(_canonical_word(seq))
+        return ChordDiagram(_least_rotation(_relabel_first_occurrence(seq)))
 
     @staticmethod
     def from_text(text: str) -> "ChordDiagram":
@@ -156,6 +156,8 @@ def _matchings(points):
 
 
 def _word_from_matching(m, size):
+    """The word of matching m.  `_matchings` lists the pairs by their first
+    point, so the labels come in first-occurrence order."""
     word = [0] * size
     for lab, (a, b) in enumerate(m, start=1):
         word[a] = lab
@@ -165,37 +167,22 @@ def _word_from_matching(m, size):
 
 @lru_cache(maxsize=CHORD_ENUM_GUARD)
 def enumerate_chord_diagrams(n: int):
-    """All canonical chord diagrams of order n (guarded, n <= 7).
+    """All canonical chord diagrams of order n (guarded, n <= 7), as a
+    tuple sorted by word: the basis order of every order-n span.
 
-    Cached per order, so the set is frozen; a guard error is not cached.
+    Each perfect matching's word is built in first-occurrence order, so it
+    goes straight to `_least_rotation`; only the first word of each
+    rotation class computes its orbit, and afterwards the memo holds every
+    first-occurrence word of order n.  Cached per order; a guard error is
+    not cached.
     """
     if not 1 <= n <= CHORD_ENUM_GUARD:
         raise ResourceGuardError(
             f"chord diagram enumeration supports 1 <= n <= {CHORD_ENUM_GUARD}"
         )
-    return frozenset(ChordDiagram.from_word(_word_from_matching(m, 2 * n))
-                     for m in _matchings(list(range(2 * n))))
-
-
-def count_chord_diagrams_burnside(n: int) -> int:
-    """Independent counter: Burnside over the rotation group C_{2n}.
-
-    Counts matchings of 2n circle points fixed by each rotation by brute
-    force, without touching the canonical-form code path.
-    """
-    if not 1 <= n <= CHORD_ENUM_GUARD:
-        raise ResourceGuardError("counter supports the same guard as enumeration")
-    size = 2 * n
-    matchings = [frozenset(frozenset(p) for p in m)
-                 for m in _matchings(list(range(size)))]
-    total = 0
-    for r in range(size):
-        rot = lambda p: frozenset(frozenset((x + r) % size for x in pair)
-                                  for pair in p)
-        total += sum(1 for m in matchings if rot(m) == m)
-    if total % size:
-        raise DiagramError("Burnside sum must be divisible by the group order")
-    return total // size
+    words = {_least_rotation(_word_from_matching(m, 2 * n))
+             for m in _matchings(list(range(2 * n)))}
+    return tuple(ChordDiagram(w) for w in sorted(words))
 
 
 def is_split(d: ChordDiagram) -> bool:

@@ -1,6 +1,9 @@
 """Exact sparse linear algebra over diagram bases.
 
-Rows are kept as integer sparse vectors (content normalised by gcd);
+Rows come in as int sparse rows {column: int} (`four_t_relations` builds
+its 4T rows that way, over the enumeration order) or as `DiagramSum`s,
+which are read over the basis and cleared of denominators.  They are
+kept as integer sparse vectors (content normalised by gcd);
 reduction is fraction-free, so no floating point enters any result.  The
 pivot rows are fully reduced: each holds its own lowest column, its
 pivot, and no other pivot column.  So `pivots` is the reduced row echelon
@@ -97,8 +100,7 @@ class RelationSpan:
     @staticmethod
     def over_order(n, rows=()):
         from .diagrams import enumerate_chord_diagrams
-        basis = sorted(enumerate_chord_diagrams(n), key=lambda d: d.word)
-        return RelationSpan(basis).add_all(rows)
+        return RelationSpan(enumerate_chord_diagrams(n)).add_all(rows)
 
     def vector_of(self, combo: DiagramSum):
         vec = {}

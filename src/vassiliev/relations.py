@@ -30,19 +30,19 @@ Sign conventions are frozen here once and for all:
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
 
 from .diagrams import (
     CCD,
     CHORD_ENUM_GUARD,
-    ChordDiagram,
     DiagramSum,
-    _relabel_first_occurrence,
+    _least_rotation,
+    _matchings,
+    _word_from_matching,
     enumerate_chord_diagrams,
     is_split,
 )
 from .errors import DiagramError
-from .linalg import RelationSpan
+from .linalg import RelationSpan, _normalize
 
 
 # ---------------------------------------------------------------------------
@@ -120,73 +120,38 @@ def _lowest_resolvable(ccd: CCD) -> int:
 # 4T
 # ---------------------------------------------------------------------------
 
-def _insert(word, pos, label):
-    return word[:pos] + (label,) + word[pos:]
-
-
 def four_t_relations(n: int):
-    """All 4T relation vectors over the order-n basis (deduplicated).
+    """All 4T relations of order n, as int rows over the enumeration order.
 
-    For every canonical diagram, every moving endpoint x and every other
-    (fixed) chord.  The combos of one fixed-chord loop depend only on the
-    configuration left by removing x: the reduced word read from the
-    moving chord's other endpoint, relabelled in first-occurrence order,
-    since rotating or relabelling keeps the "+before / -after" pattern at
-    both fixed endpoints.  A configuration seen before is skipped whole.
-    Relations are kept once each, the first one met standing for all its
-    multiples, and returned in the order of their normalised keys.
+    A combo is fixed by a moving endpoint x and a fixed chord.  Read from
+    the moving chord's other endpoint and relabelled in first-occurrence
+    order, the circle without x is the label 1 followed by a matching of
+    the other 2n - 2 points labelled 2..n; rotating and relabelling keep
+    the "+before / -after" pattern at both fixed endpoints.  So the combos
+    are those of every such matching and each of its chords, each met
+    once, and inserting x (a second 1) anywhere leaves a first-occurrence
+    word for `_least_rotation`.  The four terms sum to a sparse
+    {column: int} row over `enumerate_chord_diagrams(n)`, which also
+    seeds the memo.  Each row is normalised (gcd 1, positive lead) and
+    kept once; a combo whose terms cancel gives none.  The rows come
+    sorted by their sorted items.
     """
     if n < 2:
         raise DiagramError("4T relations need order >= 2")
-    rels = {}
-    seen = set()
-    for d in sorted(enumerate_chord_diagrams(n), key=lambda x: x.word):
-        word = d.word
-        labels = sorted(set(word))
-        for moving in labels:
-            first, second = (i for i, w in enumerate(word) if w == moving)
-            # x and the other endpoint's place once x is removed
-            for x, other in ((first, second - 1), (second, first)):
-                reduced = word[:x] + word[x + 1:]
-                config = _relabel_first_occurrence(
-                    reduced[other:] + reduced[:other])
-                if config in seen:
-                    continue
-                seen.add(config)
-                for fixed in labels:
-                    if fixed == moving:
-                        continue
-                    p, q = (i for i, w in enumerate(reduced) if w == fixed)
-                    terms = [
-                        (ChordDiagram.from_word(_insert(reduced, pos, moving)),
-                         sgn)
-                        for pos, sgn in ((p, 1), (p + 1, -1), (q, 1),
-                                         (q + 1, -1))]
-                    key = _combo_key(terms)
-                    if key and key not in rels:
-                        rels[key] = DiagramSum(terms)
-    return [rels[k] for k in sorted(rels)]
-
-
-def _combo_key(terms):
-    """The (diagram, int) terms summed, the nonzero ones sorted by word,
-    each coefficient divided by the first as a reduced (numerator,
-    denominator) pair with a positive denominator; () when all cancel."""
-    combo = {}
-    for d, c in terms:
-        combo[d.word] = combo.get(d.word, 0) + c
-    items = sorted((w, c) for w, c in combo.items() if c)
-    if not items:
-        return ()
-    lead = items[0][1]
-    key = []
-    for w, c in items:
-        g = gcd(c, lead)
-        num, den = c // g, lead // g
-        if den < 0:
-            num, den = -num, -den
-        key.append((w, num, den))
-    return tuple(key)
+    index = {d.word: i for i, d in enumerate(enumerate_chord_diagrams(n))}
+    rows = set()
+    for m in _matchings(list(range(2 * n - 2))):
+        config = (1,) + tuple(w + 1 for w in _word_from_matching(m, 2 * n - 2))
+        for a, b in m:
+            # the fixed chord's endpoints P, Q sit at a + 1 and b + 1
+            row = {}
+            for pos, sgn in ((a + 1, 1), (a + 2, -1), (b + 1, 1), (b + 2, -1)):
+                col = index[_least_rotation(config[:pos] + (1,) + config[pos:])]
+                row[col] = row.get(col, 0) + sgn
+            row = _normalize({c: v for c, v in row.items() if v})
+            if row:
+                rows.add(tuple(sorted(row.items())))
+    return [dict(r) for r in sorted(rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +219,8 @@ def ihx_relation(c: CCD, edge) -> DiagramSum:
 # ---------------------------------------------------------------------------
 
 def split_diagram_span(n: int):
-    """All canonical split chord diagrams of order n."""
-    return sorted((d for d in enumerate_chord_diagrams(n) if is_split(d)),
-                  key=lambda d: d.word)
+    """All canonical split chord diagrams of order n, in enumeration order."""
+    return [d for d in enumerate_chord_diagrams(n) if is_split(d)]
 
 
 @lru_cache(maxsize=CHORD_ENUM_GUARD)

@@ -81,6 +81,27 @@ def test_ribbon_gen_and_verify():
     assert all(checks.values())
 
 
+@pytest.mark.parametrize("sigma, scheme_identity", [
+    ("1,2,3,4", True),
+    ("1,2,3,4,5", "skipped"),
+])
+def test_ribbon_verify_switchings_above_order_3(sigma, scheme_identity):
+    status, out = run_cli("--no-header", "ribbon", "verify", "--sigma", sigma)
+    assert status == 0
+    assert json.loads(out) == {
+        "realizable": True, "switchings_trivial": True,
+        "inverse_switchings_trivial": True, "scheme_identity": scheme_identity}
+
+
+def test_ribbon_verify_reports_guarded_checks_as_skipped():
+    status, out = run_cli("--no-header", "ribbon", "verify",
+                          "--sigma", "1,2,3,4,5,6,7,8")
+    assert status == 0
+    assert json.loads(out) == {
+        "realizable": True, "switchings_trivial": "skipped",
+        "inverse_switchings_trivial": "skipped", "scheme_identity": "skipped"}
+
+
 def test_ohyama():
     status, out = run_cli("ohyama", "--sigma", "1,2")
     assert status == 0

@@ -13,11 +13,10 @@ from vassiliev.diagrams import (
     CCD,
     ChordDiagram,
     DiagramSum,
-    _canonical_word,
+    _least_rotation,
     _matchings,
     _relabel_first_occurrence,
     _word_from_matching,
-    count_chord_diagrams_burnside,
     enumerate_chord_diagrams,
     enumerate_connected_ccds,
     is_connected_ccd,
@@ -29,6 +28,7 @@ from vassiliev.errors import DiagramError, ResourceGuardError
 from vassiliev.ngons import complete_ngon, reduce_tree_to_ngons
 
 from ccd_oracle import exhaustive_canonical, rigid_key, traversal
+from chord_oracle import count_chord_diagrams_burnside, enumerate_via_from_word
 
 
 def test_canonical_examples():
@@ -86,16 +86,18 @@ def permuted_words(max_n):
 def test_canonical_word_is_the_least_relabelled_rotation():
     for word in permuted_words(5):
         diagrams._CANONICAL_MEMO.clear()
-        assert _canonical_word(word) == least_relabelled_rotation(word)
+        canonical = ChordDiagram.from_word(word).word
+        assert canonical == least_relabelled_rotation(word)
         # the memo now holds the orbit; a rotation of the word hits it
-        assert _canonical_word(word[1:] + word[:1]) == _canonical_word(word)
+        assert ChordDiagram.from_word(word[1:] + word[:1]).word == canonical
 
 
 def test_canonical_memo_stays_under_its_cap(monkeypatch):
     monkeypatch.setattr(diagrams, "_CANONICAL_MEMO", {})
     monkeypatch.setattr(diagrams, "_CANONICAL_MEMO_CAP", 25)
     for word in permuted_words(5):
-        assert _canonical_word(word) == least_relabelled_rotation(word)
+        assert (ChordDiagram.from_word(word).word
+                == least_relabelled_rotation(word))
         assert len(diagrams._CANONICAL_MEMO) <= 25
 
 
@@ -133,6 +135,23 @@ def test_enumeration_counts():
         assert count_chord_diagrams_burnside(n) == sizes[n - 1]
     with pytest.raises(ResourceGuardError):
         enumerate_chord_diagrams(8)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_enumeration_matches_both_oracles(n):
+    got = enumerate_chord_diagrams(n)
+    words = [d.word for d in got]
+    assert words == sorted(set(words))
+    assert set(got) == enumerate_via_from_word(n)
+    assert len(got) == count_chord_diagrams_burnside(n)
+
+
+def test_enumerated_words_are_least_rotations(monkeypatch):
+    monkeypatch.setattr(diagrams, "_CANONICAL_MEMO", {})
+    for n in range(1, 7):
+        for d in enumerate_chord_diagrams(n):
+            assert _least_rotation(d.word) == d.word
+            assert least_relabelled_rotation(d.word) == d.word
 
 
 def test_is_split_basics():
@@ -225,7 +244,7 @@ def test_ccd_rejects_chords_that_miss_the_free_ends(ext, vertices, chords):
 def test_ccd_roundtrip_random_rotations():
     rnd = random.Random(7)
     for n in (3, 4):
-        for d in sorted(enumerate_chord_diagrams(n), key=lambda x: x.word):
+        for d in enumerate_chord_diagrams(n):
             r = rnd.randrange(2 * n)
             labels = rnd.sample(range(1, n + 1), n)
             word = [labels[w - 1] for w in d.word[r:] + d.word[:r]]
