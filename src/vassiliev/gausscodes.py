@@ -8,10 +8,12 @@ Planarity is decidable from the code alone: each crossing fixes the
 counterclockwise rotation of its four edge ends (depending on the sign),
 and the code is realizable if and only if the resulting rotation system
 has genus zero.  `simplify` runs Reidemeister I/II greedily plus a
-breadth-first search over triangle (III) moves within a configurable
-state budget; reaching the empty code certifies the unknot, anything
-else is inconclusive and callers fall back to the determinant
-`alexander_det` (= |Alexander polynomial at -1|) as a necessary condition.
+best-first search over triangle (III) moves, in (length, canonical key)
+order, within a configurable state budget; a state whose exact passages
+were met already is skipped before its key is computed.  Reaching the
+empty code certifies the unknot, anything else is inconclusive and
+callers fall back to the determinant `alexander_det` (= |Alexander
+polynomial at -1|) as a necessary condition.
 
 `alexander_polynomial` gives the whole normalised Alexander polynomial,
 interpolated exactly from determinants at integer points.  Both read the
@@ -25,16 +27,19 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
+from itertools import compress, count
+from operator import eq
+from typing import NamedTuple
 
-from .diagrams import _relabelled_rotation, least_sequence
 from .errors import ConsistencyError, DiagramError
 
 DEFAULT_BUDGET = 10000
 BUDGET_ENV = "VASSILIEV_SIMPLIFY_BUDGET"
 
 
-@dataclass(frozen=True)
-class Passage:
+class Passage(NamedTuple):
+    """One visit to a crossing.  A tuple, so codes hash at C speed."""
+
     crossing: int
     over: bool
     sign: int
@@ -116,17 +121,17 @@ class GaussCode:
             Passage(p.crossing + offset, p.over, p.sign) for p in self.passages))
 
     def canonical_key(self):
-        """Rotation- and relabel-invariant identity of the code."""
+        """Rotation- and relabel-invariant identity of the code: the least,
+        over every rotation, of the (label, over, sign) tuple whose labels
+        1, 2, ... follow first occurrence.  It is built only for the
+        rotation `_least_read` picks."""
         ps = self.passages
-        names = [p.crossing for p in ps]
-        tails = [(p.over, p.sign) for p in ps]
-        # every start's first symbol is (1, over, sign): only the least can win
-        low = min(tails, default=None)
-        starts = [r for r, tail in enumerate(tails) if tail == low]
-        best, _ = least_sequence(starts, lambda r: (
-            (lab, *tail) for lab, tail in
-            zip(_relabelled_rotation(names, r), tails[r:] + tails[:r])))
-        return best or ()
+        if not ps:
+            return ()
+        _, r = _least_read(ps)
+        names, overs, signs = zip(*(ps[r:] + ps[:r]))
+        labels = dict(zip(dict.fromkeys(names), count(1)))
+        return tuple(zip(map(labels.__getitem__, names), overs, signs))
 
     # -- planarity ---------------------------------------------------------
 
@@ -134,7 +139,7 @@ class GaussCode:
         if not self.passages:  # a crossingless circle has no rotation system
             return 0
         V = len({p.crossing for p in self.passages})
-        euler = V - len(self.passages) + len(_faces(self))
+        euler = V - len(self.passages) + _face_count(self)
         if euler % 2:
             raise DiagramError("rotation system produced an odd Euler number")
         return (2 - euler) // 2
@@ -143,13 +148,47 @@ class GaussCode:
         return self.genus() == 0
 
 
+def _least_read(ps):
+    """(read, r): the least rotation read of the passages `ps`, and the
+    first start r that reads it.
+
+    Within one rotation a label orders as the position where its crossing
+    first comes.  So a rotation is read as the ints 4 * first position +
+    2 * over + (sign > 0), which order as its canonical-key tuple; only
+    the rotations whose first tail is least can win.
+    """
+    m = len(ps)
+    names, overs, signs = zip(*ps)
+    tails = [2 * o + (s > 0) for o, s in zip(overs, signs)]
+    low = min(tails)
+    starts = [r for r, t in enumerate(tails) if t == low]
+    ring, tails = names * 2, tails * 2
+    # a short prefix settles most starts; the rest are read in full
+    for w in (min(8, m), m):
+        reads = []
+        for r in starts:
+            first = {}
+            reads.append(tuple([4 * first.setdefault(c, k) + t for k, c, t
+                                in zip(range(w), ring[r:r + w], tails[r:r + w])]))
+        least = min(reads)
+        starts = [r for r, read in zip(starts, reads) if read == least]
+    return least, starts[0]
+
+
 # ---------------------------------------------------------------------------
 # Reidemeister moves
 # ---------------------------------------------------------------------------
 
+def _moved(passages) -> GaussCode:
+    """A GaussCode built without `__post_init__`'s checks.  Only the
+    Reidemeister moves call it: a move on a valid code gives a valid code."""
+    code = object.__new__(GaussCode)
+    object.__setattr__(code, "passages", passages)
+    return code
+
+
 def _remove_positions(ps, positions):
-    keep = [p for i, p in enumerate(ps) if i not in positions]
-    return GaussCode(tuple(keep))
+    return _moved(tuple([p for i, p in enumerate(ps) if i not in positions]))
 
 
 def reidemeister_one(code: GaussCode):
@@ -191,50 +230,66 @@ def reidemeister_two(code: GaussCode):
     return out
 
 
-def _faces(code: GaussCode):
-    """Faces of the rotation system induced by the crossing signs.
+# edge-end offsets by a passage's tail 2 * over + (sign > 0): the end it
+# leaves by, the end it enters by, and the end after each counterclockwise
+_OUT, _OUT_NEXT = (3, 1, 0, 0), (0, 2, 1, 1)
+_IN, _IN_NEXT = (1, 3, 2, 2), (2, 0, 3, 3)
 
-    Each face is the list of code arcs along its boundary; arc i runs from
-    passage i to passage i+1.  Edge ends are (crossing, kind), kind in
-    {o_in, o_out, u_in, u_out}, in counterclockwise order
-    + : o_out, u_out, o_in, u_in ;  - : o_out, u_in, o_in, u_out.
+
+def _face_steps(code: GaussCode):
+    """(step, arc): the faces of the rotation system induced by the
+    crossing signs, as one permutation of the edge ends.
+
+    The crossings are numbered 0, 1, ... in order of first passage, and
+    end j of crossing c, counted counterclockwise from its over-out end,
+    is 4c + j.  Counterclockwise the ends of a positive crossing are o_out,
+    u_out, o_in, u_in and of a negative one o_out, u_in, o_in, u_out.  Code
+    arc i runs from passage i out to passage i+1 in.  A face's boundary
+    leaves end e along arc[e] and, at the crossing it reaches, turns on
+    counterclockwise to the face's next end step[e].
     """
     ps = code.passages
     m = len(ps)
-    signs = {p.crossing: p.sign for p in ps}
-    rot = {}
-    for cid, sign in signs.items():
-        if sign > 0:
-            order = [(cid, "o_out"), (cid, "u_out"), (cid, "o_in"), (cid, "u_in")]
-        else:
-            order = [(cid, "o_out"), (cid, "u_in"), (cid, "o_in"), (cid, "u_out")]
-        for i, d in enumerate(order):
-            rot[d] = order[(i + 1) % 4]
-    # edge involution: consecutive passages give an edge out -> in, which
-    # is code arc i; each end maps to (other end, i)
-    alpha = {}
-    for i, p in enumerate(ps):
-        q = ps[(i + 1) % m]
-        a = (p.crossing, "o_out" if p.over else "u_out")
-        b = (q.crossing, "o_in" if q.over else "u_in")
-        alpha[a] = (b, i)
-        alpha[b] = (a, i)
-    faces = []
-    seen = set()
-    for start in rot:
-        if start in seen:
-            continue
-        arcs = []
-        d = start
-        while True:
-            seen.add(d)
-            d, arc = alpha[d]
-            arcs.append(arc)
-            d = rot[d]
-            if d == start:
-                break
-        faces.append(arcs)
+    first_end = dict(zip(dict.fromkeys(p.crossing for p in ps), count(0, 4)))
+    base = [first_end[p.crossing] for p in ps]
+    tails = [2 * p.over + (p.sign > 0) for p in ps]
+    step = [0] * (2 * m)
+    arc = step[:]
+    for i in range(m):
+        j = i + 1 if i + 1 < m else 0
+        a = base[i] + _OUT[tails[i]]
+        b = base[j] + _IN[tails[j]]
+        step[a] = base[j] + _IN_NEXT[tails[j]]
+        step[b] = base[i] + _OUT_NEXT[tails[i]]
+        arc[a] = arc[b] = i
+    return step, arc
+
+
+def _face_count(code: GaussCode) -> int:
+    """The number of faces: the cycles of `_face_steps`' step."""
+    step, _ = _face_steps(code)
+    seen = [False] * len(step)
+    faces = 0
+    for start in range(len(step)):
+        if not seen[start]:
+            faces += 1
+            d = start
+            while not seen[d]:
+                seen[d] = True
+                d = step[d]
     return faces
+
+
+def _triangles(code: GaussCode):
+    """The arcs of each triangular face, in the order of the faces' least
+    ends: the ends e with step^3 e = e, least among their three."""
+    step, arc = _face_steps(code)
+    two = list(map(step.__getitem__, step))
+    out = []
+    for e in compress(count(), map(eq, map(step.__getitem__, two), count())):
+        if e < step[e] and e < two[e]:   # not a monogon, the least end
+            out.append((arc[e], arc[step[e]], arc[two[e]]))
+    return out
 
 
 def reidemeister_three(code: GaussCode):
@@ -242,57 +297,45 @@ def reidemeister_three(code: GaussCode):
     ps = code.passages
     m = len(ps)
     out = []
-    for arcs in _faces(code):
-        if len(arcs) != 3 or len(set(arcs)) != 3:
+    for arcs in _triangles(code):
+        i, j, k = sorted(arcs)
+        # three arcs with six distinct ends: no two share a passage
+        if j - i < 2 or k - j < 2 or k - i > m - 2:
             continue
-        arcs = sorted(arcs)
-        positions = set()
-        for i in arcs:
-            positions.add(i)
-            positions.add((i + 1) % m)
-        if len(positions) != 6:
-            continue
+        ends = [(x, (x + 1) % m) for x in (i, j, k)]
         # one strand must be uniformly over (or under) at its two passages
-        strands = []
-        for i in arcs:
-            a, b = ps[i], ps[(i + 1) % m]
-            strands.append((a.over, b.over))
-        if not any(x == y for x, y in strands):
+        if all(ps[x].over != ps[y].over for x, y in ends):
             continue
         new = list(ps)
-        for i in arcs:
-            j = (i + 1) % m
-            new[i], new[j] = new[j], new[i]
-        out.append(GaussCode(tuple(new)))
+        for x, y in ends:
+            new[x], new[y] = ps[y], ps[x]
+        out.append(_moved(tuple(new)))
     return out
 
 
 def _first_r2(code: GaussCode):
-    """`reidemeister_two(code)[0]`, or None, from one index of the
-    adjacent under-under pairs instead of a scan of every position pair."""
+    """`reidemeister_two(code)[0]`, or None, from the positions of the
+    under-passages instead of a scan of every position pair: a bigon's two
+    unders are the under-passages of its two over-crossings, adjacent."""
     ps = code.passages
     m = len(ps)
-    unders = {}  # each crossing has one under-passage: one k per pair
-    for k in range(m):
-        c, d = ps[k], ps[(k + 1) % m]
-        if not (c.over or d.over):
-            unders[frozenset((c.crossing, d.crossing))] = k
-    for i in range(m):
-        a, b = ps[i], ps[(i + 1) % m]
-        if a.over and b.over and a.sign * b.sign == -1:
-            k = unders.get(frozenset((a.crossing, b.crossing)))
-            if k is not None:
-                return _remove_positions(ps, {i, (i + 1) % m, k, (k + 1) % m})
+    under = None
+    for i, (a, b) in enumerate(zip(ps, ps[1:] + ps[:1])):
+        if a.over and b.over and a.sign != b.sign:
+            if under is None:
+                under = {p.crossing: k for k, p in enumerate(ps) if not p.over}
+            k, l = under[a.crossing], under[b.crossing]
+            if (l - k) % m == 1 or (k - l) % m == 1:
+                return _remove_positions(ps, {i, (i + 1) % m, k, l})
     return None
 
 
 def _first_r1(code: GaussCode):
     """`reidemeister_one(code)[0]`, its test oracle, or None: the first kink."""
     ps = code.passages
-    m = len(ps)
-    for i in range(m):
-        if ps[i].crossing == ps[(i + 1) % m].crossing:
-            return _remove_positions(ps, {i, (i + 1) % m})
+    names = [p.crossing for p in ps]
+    for i in compress(count(), map(eq, names, names[1:] + names[:1])):
+        return _remove_positions(ps, {i, (i + 1) % len(ps)})
     return None
 
 
@@ -310,17 +353,23 @@ def simplify_budget() -> int:
     """The default R3 state budget: $VASSILIEV_SIMPLIFY_BUDGET if set."""
     text = os.environ.get(BUDGET_ENV, str(DEFAULT_BUDGET))
     try:
-        return int(text)
+        budget = int(text)
     except ValueError:
         raise DiagramError(
             f"{BUDGET_ENV}={text!r} is not an integer") from None
+    if budget < 0:
+        raise DiagramError(f"{BUDGET_ENV}={text!r} is negative")
+    return budget
 
 
 def simplify(code: GaussCode, budget=None) -> GaussCode:
     """Shortest code reachable by R1/R2 (greedy) and budgeted R3 search.
 
-    The empty output certifies the unknot.  Deterministic: states are
-    explored in (length, canonical key) order.
+    The empty output certifies the unknot.  Deterministic: a best-first
+    search that explores states in (length, canonical key) order.  Each
+    R3 move is reduced greedily; a result whose exact passages were met
+    already is dropped before its key is computed, since its key is met
+    too.
     """
     if budget is None:
         budget = simplify_budget()
@@ -330,8 +379,13 @@ def simplify(code: GaussCode, budget=None) -> GaussCode:
     if not start.passages:
         return start
     best = start
-    best_key = (len(start.passages), start.canonical_key())
+    # a state's key is its least read, which orders as its canonical key
+    best_key = (len(start.passages), _least_read(start.passages)[0])
     seen = {best_key[1]}
+    # the exact passages of every reduced state: a repeat (most often the
+    # move back to the parent) has its key in `seen`, so it is dropped,
+    # before its greedy reduction too if it was reduced already
+    met = {start.passages}
     # `seen` makes every key on the heap unique, so codes are never compared
     heap = [(*best_key, start)]
     states = 0
@@ -339,13 +393,18 @@ def simplify(code: GaussCode, budget=None) -> GaussCode:
         _, _, cur = heappop(heap)
         states += 1
         for nxt in reidemeister_three(cur):
+            if nxt.passages in met:
+                continue
             red = _greedy_reduce(nxt)
-            key = red.canonical_key()
+            if not red.passages:
+                return red
+            if red is not nxt and red.passages in met:
+                continue
+            met.add(red.passages)
+            key = _least_read(red.passages)[0]
             if key in seen:
                 continue
             seen.add(key)
-            if not red.passages:
-                return red
             cand = (len(red.passages), key)
             if cand < best_key:
                 best, best_key = red, cand

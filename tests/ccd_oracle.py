@@ -6,8 +6,10 @@ the independent slow path that the lazy-orientation search in
 `CCD.canonical` is checked against.
 """
 
-from vassiliev.diagrams import CCD, least_sequence
+from vassiliev.diagrams import CCD
 from vassiliev.errors import DiagramError
+
+from sequences import least_sequence
 
 _FLIP_EFF = {0: 0, 2: 1, 1: 2}      # effective position of abs slot, flipped
 _FLIP_ABS = (0, 2, 1)               # abs slot at effective position, flipped

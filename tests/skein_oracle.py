@@ -8,10 +8,11 @@ the tests compare both against this.
 
 from fractions import Fraction
 
-from vassiliev.diagrams import least_sequence
 from vassiliev.errors import DiagramError
 from vassiliev.gausscodes import GaussCode, Passage
 from vassiliev.invariants import _sum_over_summands
+
+from sequences import least_sequence
 
 
 def _poly_add(a, b, scale=1, shift=0):

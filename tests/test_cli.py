@@ -133,6 +133,9 @@ def test_unknown_flag_exits_2():
     (["ribbon", "verify", "--sigma", "1"], {}),
     (["dims", "--n", "7"], {}),
     (["bounds", "--n-max", "2"], {}),
+    (["ribbon", "verify", "--sigma", "1,2"],
+     {"VASSILIEV_SIMPLIFY_BUDGET": "-5"}),
+    (["selftest"], {"VASSILIEV_SIMPLIFY_BUDGET": "-5"}),
 ])
 def test_bad_input_exits_2_with_one_line(argv, env):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))

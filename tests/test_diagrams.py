@@ -21,7 +21,6 @@ from vassiliev.diagrams import (
     enumerate_connected_ccds,
     is_connected_ccd,
     is_split,
-    least_sequence,
     sample_connected_ccds,
 )
 from vassiliev.errors import DiagramError, ResourceGuardError
@@ -29,6 +28,7 @@ from vassiliev.ngons import complete_ngon, reduce_tree_to_ngons
 
 from ccd_oracle import exhaustive_canonical, rigid_key, traversal
 from chord_oracle import count_chord_diagrams_burnside, enumerate_via_from_word
+from sequences import least_sequence
 
 
 def test_canonical_examples():
