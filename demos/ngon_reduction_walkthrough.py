@@ -11,10 +11,10 @@ Run:  python3 demos/ngon_reduction_walkthrough.py
 
 from vassiliev.ngons import (
     complete_ngon,
+    ngon_coefficients,
     ngon_representatives,
     one_branch_tree,
     reduce_tree_to_ngons,
-    _ngon_class_table,
 )
 from vassiliev.relations import quotient_spans, stu_expand
 
@@ -29,12 +29,9 @@ for step in trace:
     print(f"  [{step['rule']:>3}] {step['location']}"
           + (f"  -> {step['resulting-terms']}" if step["resulting-terms"] else ""))
 
-table = _ngon_class_table(n)
 print("\nresulting integral n-gon combination:")
-for d, c in combo.items_sorted():
-    _, s, _ = d.canonical()
-    rep, s_rep, _ = table[d.key()]
-    print(f"  {int(c) * s * s_rep:+d} * f{rep}")
+for rep, c in ngon_coefficients(combo):
+    print(f"  {c:+d} * f{rep}")
 
 print("\ncertifying: expanded tree minus expanded combination lies in the")
 print("span of the 4T relations and split diagrams ...")

@@ -94,19 +94,14 @@ def cmd_bounds(args):
 
 
 def cmd_reduce(args):
-    from .ngons import reduce_tree_to_ngons
+    from .ngons import ngon_coefficients, reduce_tree_to_ngons
 
     sigma = _parse_sigma(args.sigma)
     trace = []
     combo = reduce_tree_to_ngons(sigma, trace=trace)
     _print_header(args)
-    from .ngons import _ngon_class_table
-    table = _ngon_class_table(len(sigma))
-    terms = []
-    for d, c in combo.items_sorted():
-        _, sign, _ = d.canonical()
-        rep, rep_sign, _ = table[d.key()]
-        terms.append({"sigma": list(rep), "coefficient": int(c) * sign * rep_sign})
+    terms = [{"sigma": list(rep), "coefficient": c}
+             for rep, c in ngon_coefficients(combo)]
     print(json.dumps({"sigma": list(sigma), "ngon_combination": terms}))
     print(json.dumps(trace))
     if args.verify:

@@ -27,22 +27,11 @@ from functools import lru_cache
 from .errors import DiagramError, ResourceGuardError
 
 CHORD_ENUM_GUARD = 7
-CCD_ENUM_GUARD = 5
 
 
 # ---------------------------------------------------------------------------
 # chord diagrams
 # ---------------------------------------------------------------------------
-
-def _relabel_first_occurrence(seq):
-    seen = {}
-    out = []
-    for s in seq:
-        if s not in seen:
-            seen[s] = len(seen) + 1
-        out.append(seen[s])
-    return tuple(out)
-
 
 def _relabelled_rotation(seq, r):
     """`seq` read from position r round the circle, each symbol replaced by
@@ -90,7 +79,8 @@ class ChordDiagram:
             counts[s] = counts.get(s, 0) + 1
         if any(c != 2 for c in counts.values()):
             raise DiagramError("every chord label must appear exactly twice")
-        return ChordDiagram(_least_rotation(_relabel_first_occurrence(seq)))
+        return ChordDiagram(
+            _least_rotation(tuple(_relabelled_rotation(seq, 0))))
 
     @staticmethod
     def from_text(text: str) -> "ChordDiagram":
@@ -453,39 +443,6 @@ class CCD:
         }
 
 
-def is_connected_ccd(c: CCD) -> bool:
-    """Not split: no pair of complementary external arcs isolates components.
-
-    A component is either a chord or a connected piece of the internal
-    graph together with the external vertices it touches.
-    """
-    E = c.ext
-    owner = [None] * E
-    for a, b in c.chord_pairs:
-        owner[a] = owner[b] = ("chord", a)
-    parent = list(range(len(c.vertices)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, slots in enumerate(c.vertices):
-        for tgt in slots:
-            if tgt[0] == "v":
-                a, b = find(i), find(tgt[1])
-                if a != b:
-                    parent[a] = b
-    for i, slots in enumerate(c.vertices):
-        for tgt in slots:
-            if tgt[0] == "x":
-                owner[tgt[1]] = ("tree", find(i))
-    if E == 1 or len(set(owner)) <= 1:
-        return True
-    return not _arc_separates(owner)
-
-
 # ---------------------------------------------------------------------------
 # formal sums
 # ---------------------------------------------------------------------------
@@ -567,133 +524,3 @@ class DiagramSum:
             name = d.as_text() if isinstance(d, ChordDiagram) else f"ccd<{d.order}>"
             bits.append(f"{c}*{name}")
         return " + ".join(bits) if bits else "0"
-
-    def to_jsonable(self):
-        terms = []
-        for d, c in self.items_sorted():
-            key = d.as_text() if isinstance(d, ChordDiagram) else d.to_json_dict()
-            terms.append({"diagram": key, "num": c.numerator, "den": c.denominator})
-        return {"order": self.order or 0, "terms": terms}
-
-
-# ---------------------------------------------------------------------------
-# CCD enumeration (small orders, for tests and the placement-independence
-# checks); guarded since the matching space grows factorially.
-# ---------------------------------------------------------------------------
-
-def _build_ccd_from_matching(pairs):
-    pairing = dict(pairs)
-    pairing.update((b, a) for a, b in pairs)
-    try:
-        ccd = CCD.from_pairing(pairing)
-    except DiagramError:
-        return None
-    # require the whole graph connected (reachability from the circle)
-    table = ccd.vertices
-    seen = set()
-    stack = [j for j, slots in enumerate(table)
-             if any(t[0] == "x" for t in slots)]
-    seen.update(stack)
-    while stack:
-        j = stack.pop()
-        for t in table[j]:
-            if t[0] == "v" and t[1] not in seen:
-                seen.add(t[1])
-                stack.append(t[1])
-    if len(seen) != len(table):
-        return None
-    return ccd
-
-
-def _matchings_canonically_labelled(E, I):
-    """Matchings of the E + 3I half-edge ends, one per vertex relabeling.
-
-    Internal vertices are forced to appear in first-touch order with their
-    first-touched slot being slot 0, which removes the relabeling and
-    slot-rotation redundancy from the search without losing any class.
-    """
-    ends = [("x", p) for p in range(E)]
-    for j in range(I):
-        ends.extend((("v", j, s) for s in range(3)))
-
-    def rec(unpaired, touched, acc):
-        if not unpaired:
-            yield list(acc)
-            return
-        first = unpaired[0]
-        if first[0] == "v" and first[1] not in touched:
-            touched = touched | {first[1]}
-        for c in unpaired[1:]:
-            if c[0] == "v" and c[1] not in touched:
-                fresh = min(j for j in range(I) if j not in touched)
-                if c[1] != fresh or c[2] != 0:
-                    continue
-                new_touched = touched | {c[1]}
-            else:
-                new_touched = touched
-            rest = [e for e in unpaired[1:] if e != c]
-            acc.append((first, c))
-            yield from rec(rest, new_touched, acc)
-            acc.pop()
-
-    yield from rec(ends, set(), [])
-
-
-def sample_connected_ccds(n: int, count: int, seed: int = 0):
-    """Deterministic sample of distinct connected CCDs of order n.
-
-    Random half-edge matchings filtered for validity and connectedness;
-    used where full enumeration would be factorially large.
-    """
-    import random as _random
-
-    rnd = _random.Random(seed)
-    out = {}
-    tries = 0
-    while len(out) < count and tries < 20000 * count:
-        tries += 1
-        I = rnd.randrange(0, 2 * n)
-        E = 2 * n - I
-        if E < 1:
-            continue
-        ends = [("x", p) for p in range(E)]
-        for j in range(I):
-            ends.extend((("v", j, s) for s in range(3)))
-        rnd.shuffle(ends)
-        pairs = [(ends[i], ends[i + 1]) for i in range(0, len(ends), 2)]
-        ccd = _build_ccd_from_matching(pairs)
-        if ccd is None or not is_connected_ccd(ccd):
-            continue
-        canon, _, null = ccd.canonical()
-        if null:
-            continue
-        out.setdefault(ccd.key(), canon)
-    if len(out) < count:
-        raise ResourceGuardError("sampling budget exhausted")
-    return sorted(out.values(), key=lambda c: (c.internal_count, c.ext,
-                                               c.vertices,
-                                               c.chord_pairs))[:count]
-
-
-def enumerate_connected_ccds(n: int):
-    """All connected CCDs of order n up to isomorphism (and antisymmetry).
-
-    Connected means not split in the sense of `is_connected_ccd`.  The
-    guard keeps the half-edge matching space at desk scale.
-    """
-    if not 1 <= n <= CCD_ENUM_GUARD:
-        raise ResourceGuardError(
-            f"connected CCD enumeration supports 1 <= n <= {CCD_ENUM_GUARD}")
-    out = {}
-    for I in range(0, 2 * n):
-        E = 2 * n - I
-        if E < 1:
-            continue
-        for m in _matchings_canonically_labelled(E, I):
-            ccd = _build_ccd_from_matching(m)
-            if ccd is None or not is_connected_ccd(ccd):
-                continue
-            canon, _, _ = ccd.canonical()
-            out.setdefault(ccd.key(), canon)
-    return sorted(out.values(), key=lambda c: (c.internal_count, c.ext,
-                                               c.vertices, c.chord_pairs))

@@ -191,45 +191,6 @@ def _remove_positions(ps, positions):
     return _moved(tuple([p for i, p in enumerate(ps) if i not in positions]))
 
 
-def reidemeister_one(code: GaussCode):
-    """All codes obtained by removing a kink (adjacent equal crossings)."""
-    ps = code.passages
-    m = len(ps)
-    out = []
-    for i in range(m):
-        j = (i + 1) % m
-        if ps[i].crossing == ps[j].crossing:
-            out.append(_remove_positions(ps, {i, j}))
-    return out
-
-
-def reidemeister_two(code: GaussCode):
-    """All codes obtained by cancelling a bigon (adjacent over-over pair
-    matched by the same pair adjacent under-under elsewhere).  `simplify`
-    takes only the first, from `_first_r2`; this is its test oracle."""
-    ps = code.passages
-    m = len(ps)
-    out = []
-    for i in range(m):
-        j = (i + 1) % m
-        a, b = ps[i], ps[j]
-        if a.crossing == b.crossing:
-            continue
-        if not (a.over and b.over):
-            continue
-        for k in range(m):
-            l = (k + 1) % m
-            c, d = ps[k], ps[l]
-            if {c.crossing, d.crossing} != {a.crossing, b.crossing}:
-                continue
-            if c.over or d.over:
-                continue
-            if a.sign * b.sign != -1:
-                continue
-            out.append(_remove_positions(ps, {i, j, k, l}))
-    return out
-
-
 # edge-end offsets by a passage's tail 2 * over + (sign > 0): the end it
 # leaves by, the end it enters by, and the end after each counterclockwise
 _OUT, _OUT_NEXT = (3, 1, 0, 0), (0, 2, 1, 1)
@@ -314,9 +275,10 @@ def reidemeister_three(code: GaussCode):
 
 
 def _first_r2(code: GaussCode):
-    """`reidemeister_two(code)[0]`, or None, from the positions of the
+    """The first Reidemeister II move, or None, from the positions of the
     under-passages instead of a scan of every position pair: a bigon's two
-    unders are the under-passages of its two over-crossings, adjacent."""
+    unders are the under-passages of its two over-crossings, adjacent.
+    Its test oracle lists every move (`tests/moves_oracle.py`)."""
     ps = code.passages
     m = len(ps)
     under = None
@@ -331,7 +293,8 @@ def _first_r2(code: GaussCode):
 
 
 def _first_r1(code: GaussCode):
-    """`reidemeister_one(code)[0]`, its test oracle, or None: the first kink."""
+    """The first kink removed, or None.  Its test oracle lists every
+    Reidemeister I move (`tests/moves_oracle.py`)."""
     ps = code.passages
     names = [p.crossing for p in ps]
     for i in compress(count(), map(eq, names, names[1:] + names[:1])):
@@ -369,7 +332,9 @@ def simplify(code: GaussCode, budget=None) -> GaussCode:
     search that explores states in (length, canonical key) order.  Each
     R3 move is reduced greedily; a result whose exact passages were met
     already is dropped before its key is computed, since its key is met
-    too.
+    too.  The greedy reduction takes the first R1, else the first R2,
+    move (`_first_r1` / `_first_r2`); the tests check each against every
+    move listed by `tests/moves_oracle.py`.
     """
     if budget is None:
         budget = simplify_budget()

@@ -192,26 +192,6 @@ def invariant_v3(code: GaussCode) -> Fraction:
     return _sum_over_summands(code, _v3_arrows)
 
 
-def _trefoil_shadow(switch):
-    """The all-positive 3-crossing code with a subset of crossings switched."""
-    base = GaussCode.from_text("O1+,U2+,O3+,U1+,O2+,U3+")
-    return base.switched(switch)
-
-
-def _shadow_alternating_sum(f, crossings) -> Fraction:
-    """Sum of (-1)^|S| f(shadow with S switched) over subsets S of crossings."""
-    total = Fraction(0)
-    for mask in range(1 << len(crossings)):
-        switch = {cid for k, cid in enumerate(crossings) if mask >> k & 1}
-        total += (-1) ** len(switch) * f(_trefoil_shadow(switch))
-    return total
-
-
-def a2_weight_calibration() -> Fraction:
-    """Raw weight of the crossing diagram 1212 under a2 (should be 1)."""
-    return _shadow_alternating_sum(a2_alexander, (1, 2))
-
-
 # ---------------------------------------------------------------------------
 # calibration harness (used by the tests to justify the frozen weights)
 # ---------------------------------------------------------------------------

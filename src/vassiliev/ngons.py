@@ -19,8 +19,12 @@ Conventions frozen here:
   the fusion, and cycle growth by IHX for incomplete gons.  One-branch
   trees whose last three branch ends are consecutive on the circle are
   dropped: they vanish modulo split diagrams and 4T over the rationals
-  (chord-of-length-two placement independence), and the reduction checks
-  every dropped tree against the 4T+split span on the fly.
+  (chord-of-length-two placement independence, checked in the tests with
+  `tests/ccds.py`), and the reduction checks every dropped tree against
+  the 4T+split span on the fly.
+
+`ngon_coefficients` reads a reduction's result, or any combination of
+complete n-gons, as (representative, integer coefficient) pairs.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations
 
-from .diagrams import CCD, DiagramSum, is_connected_ccd
+from .diagrams import CCD, DiagramSum
 from .errors import ConsistencyError, DiagramError, ResourceGuardError
 from .relations import ihx_pieces, quotient_spans, stu_expand
 
@@ -141,6 +145,30 @@ def _ngon_class_table(n: int):
     return table
 
 
+def ngon_coefficients(combo: DiagramSum):
+    """(representative, int coefficient) for each term of a combination of
+    complete n-gons, in `items_sorted` order, signed to the
+    representative's own n-gon.  Null gons are skipped; a non-integer
+    coefficient or a term that is not a complete n-gon raises DiagramError.
+    """
+    if combo.is_zero():
+        return []
+    table = _ngon_class_table(combo.order)
+    out = []
+    for diagram, coeff in combo.items_sorted():
+        if coeff.denominator != 1:
+            raise DiagramError("clear denominators before reading n-gons")
+        if not isinstance(diagram, CCD) or diagram.key() not in table:
+            raise DiagramError(
+                "combo must be supported on complete n-gon diagrams")
+        _, sign, null = diagram.canonical()
+        if null:
+            continue
+        rep, rep_sign, _ = table[diagram.key()]
+        out.append((rep, int(coeff) * sign * rep_sign))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # surgeries
 # ---------------------------------------------------------------------------
@@ -177,18 +205,6 @@ def _swap_external_targets(ccd: CCD, p: int, q: int) -> CCD:
     pairing[fq] = ("x", p)
     pairing[("x", q)] = fp
     pairing[fp] = ("x", q)
-    return CCD.from_pairing(pairing)
-
-
-def add_chord_length_two(c: CCD, pos: int) -> CCD:
-    """Insert a chord sandwiching exactly the external vertex at `pos`."""
-    if not is_connected_ccd(c):
-        raise DiagramError("chord-of-length-two insertion needs a connected CCD")
-    if not 0 <= pos < c.ext:
-        raise DiagramError("position out of range")
-    pairing = c.pairing()
-    pairing[("x", pos - 0.5)] = ("x", pos + 0.5)
-    pairing[("x", pos + 0.5)] = ("x", pos - 0.5)
     return CCD.from_pairing(pairing)
 
 

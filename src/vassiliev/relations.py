@@ -208,12 +208,6 @@ def ihx_pieces(c: CCD, edge):
     return ident, h, x
 
 
-def ihx_relation(c: CCD, edge) -> DiagramSum:
-    """I - H + X for the internal-internal edge given as a slot ref (i, s)."""
-    ident, h, x = ihx_pieces(c, edge)
-    return DiagramSum([(ident, 1), (h, -1), (x, 1)])
-
-
 # ---------------------------------------------------------------------------
 # split diagrams
 # ---------------------------------------------------------------------------

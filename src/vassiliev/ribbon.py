@@ -42,7 +42,8 @@ from itertools import product
 from .diagrams import ChordDiagram, DiagramSum
 from .errors import ConsistencyError, DiagramError, ResourceGuardError
 from .gausscodes import GaussCode, Passage, connected_sum, simplify
-from .ngons import _ngon_class_table, check_perm, complete_ngon
+from .ngons import (NGON_ENUM_GUARD, check_perm, complete_ngon,
+                    ngon_coefficients)
 from .relations import quotient_spans, stu_expand
 
 PERIOD = 20
@@ -167,31 +168,32 @@ def _segment_intersection(p1, p2, p3, p4):
     return None
 
 
-def ribbon_gauss_code(sigma, mirrored_first_clasp=False):
-    """(GaussCode, CrossingScheme) of the ribbon knot for a canonical
-    permutation (sigma(1) = 1, n >= 2)."""
+def _family_layout(sigma):
+    """(n, b, before) for a canonical permutation (sigma(1) = 1, n >= 2):
+    b[v] = sigma^{-1}(v), and before[v] = b[v] - 1 as a station 1..n,
+    the station preceding b[v] cyclically (index 0 of both is unused)."""
     sigma = check_perm(sigma)
     n = len(sigma)
     if n < 2:
         raise DiagramError("the family starts at order 2")
     if sigma[0] != 1:
         raise DiagramError("a canonical representative (sigma(1) = 1) is required")
-    L = PERIOD * n
     b = [0] * (n + 1)
-    for i in range(1, n + 1):
-        b[sigma[i - 1]] = i   # b[v] = sigma^{-1}(v)
+    for i, v in enumerate(sigma, start=1):
+        b[v] = i
+    return n, b, [0] + [(b[v] - 2) % n + 1 for v in range(1, n + 1)]
+
+
+def ribbon_gauss_code(sigma, mirrored_first_clasp=False):
+    """(GaussCode, CrossingScheme) of the ribbon knot for a canonical
+    permutation (sigma(1) = 1, n >= 2)."""
+    n, _, before = _family_layout(sigma)
+    L = PERIOD * n
 
     # ----- pieces in traversal order ------------------------------------
     # chord i runs x(b_i - 1, 2) -> x(b_{i+1} - 1, 1); arc A_k follows the
     # chord that ends at x(k, 1).
-    def station_of(i):  # station index used by chord endpoints, 1-based
-        return (i - 1) % n + 1
-
-    chords = []
-    for i in range(1, n + 1):
-        src = station_of(b[i] - 1 + n)          # b_i - 1, cyclic
-        dst = station_of(b[i % n + 1] - 1 + n)  # b_{i+1} - 1
-        chords.append((i, src, dst))
+    chords = [(i, before[i], before[i % n + 1]) for i in range(1, n + 1)]
 
     arcs = {}
     mirrored_arc = n if mirrored_first_clasp else None
@@ -257,10 +259,9 @@ def ribbon_gauss_code(sigma, mirrored_first_clasp=False):
         info = crossing_info[ref]
         passages.append(Passage(cid, over, 1 if info["sign"] > 0 else -1))
 
-    for i, src, dst in chords:
+    for i, _, arc in chords:   # A_arc follows the chord that ends at arc
         for t, ref in sorted(events.get(("chord", i), [])):
             visit(ref, over=(crossing_info[ref]["over_chord"] == i))
-        arc = station_of(b[i % n + 1] - 1 + n)
         segs = arcs[arc]
         for idx in range(len(segs)):
             is_h = segs[idx][2] == segs[idx][4]
@@ -302,24 +303,17 @@ def ohyama_diagrams(sigma):
     Sites on the circle, per station in the order the knot visits them:
     z_1 of scheme j, the double passage y_{j+1}, then z_2 of scheme j.
     The chord of scheme j joins y_j with the chosen z site; the sign is
-    the product of +1 for first choices and -1 for second choices.
+    the product of +1 for first choices and -1 for second choices.  There
+    are 2^n of them, so n is guarded like the n-gon enumeration.  The test
+    oracle reads them off the actual code (`tests/ribbon_oracle.py`).
     """
-    sigma = check_perm(sigma)
-    n = len(sigma)
-    if n < 2:
-        raise DiagramError("the family starts at order 2")
-    if sigma[0] != 1:
-        raise DiagramError("canonical representative required")
-    b = [0] * (n + 1)
-    for i in range(1, n + 1):
-        b[sigma[i - 1]] = i
-
-    def wrap(j):
-        return (j - 1) % n + 1
-
+    n, b, before = _family_layout(sigma)
+    if n > NGON_ENUM_GUARD:
+        raise ResourceGuardError(
+            f"signed scheme diagrams support n <= {NGON_ENUM_GUARD}")
     sites = []
     for i in range(1, n + 1):
-        j = wrap(b[i] - 1 + n)
+        j = before[i]
         sites.append(("z", 1, j))
         sites.append(("y", b[i]))
         sites.append(("z", 2, j))
@@ -350,35 +344,6 @@ def verify_ohyama_identity(sigma) -> bool:
         raise ResourceGuardError("identity check guarded to orders 2..4")
     diff = scheme_state_sum(sigma) - stu_expand(complete_ngon(sigma))
     return quotient_spans(n)[0].member(diff)
-
-
-def code_scheme_diagrams(code: GaussCode, scheme: CrossingScheme):
-    """Signed diagrams read off the code by smashing one crossing per set.
-
-    Independent of the formula in `ohyama_diagrams`: positions come from
-    the actual passages, signs from the actual crossing signs after the
-    preceding switches.
-    """
-    n = len(scheme.sets)
-    out = []
-    for choice in product((1, 2), repeat=n):
-        word = []
-        sign = 1
-        smashed = []
-        for j, pair in enumerate(scheme.sets):
-            pick = pair[choice[j] - 1]
-            smashed.append(pick)
-            # epsilon: the sign of the smashed crossing in the state where
-            # the earlier crossings of its own set are already switched
-            # (which leaves this crossing's sign untouched)
-            sign *= code.sign_of(pick)
-        want = set(smashed)
-        labels = {cid: k + 1 for k, cid in enumerate(smashed)}
-        for p in code.passages:
-            if p.crossing in want:
-                word.append(labels[p.crossing])
-        out.append((sign, ChordDiagram.from_word(word)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -444,24 +409,8 @@ def realize_weights(combo: DiagramSum) -> FormalKnot:
     one canonical representative per class, so mutually inverse
     permutations may merge.  The weight profile is unchanged.
     """
-    if combo.is_zero():
-        return FormalKnot(())
-    factors = []
-    classes = _ngon_class_table(combo.order)
-    for diagram, coeff in combo.items_sorted():
-        if coeff.denominator != 1:
-            raise DiagramError("clear denominators before realizing weights")
-        _, sign, null = diagram.canonical()
-        if null:
-            continue
-        entry = classes.get(diagram.key())
-        if entry is None:
-            raise DiagramError(
-                "combo must be supported on complete n-gon diagrams")
-        rep, rep_sign, _ = entry
-        c = int(coeff) * sign * rep_sign
-        factors.append((rep, 1 if c > 0 else -1, abs(c)))
-    return FormalKnot.from_factors(factors)
+    return FormalKnot.from_factors((rep, 1 if c > 0 else -1, abs(c))
+                                   for rep, c in ngon_coefficients(combo))
 
 
 def formal_vn_inverse(k: FormalKnot, n: int) -> FormalKnot:

@@ -5,6 +5,9 @@ it is exponential in the crossing number; the library evaluates v3 by a
 triple-arrow Gauss-diagram formula instead, and the tests compare the
 two.  `v3_jones` reads v3 off the h^3 coefficient of V(e^h), scaled so
 that the weight on the chord diagram 123123 is 1.
+
+That scale, and the a2 weight on 1212, are read off alternating sums
+over the crossing switches of the trefoil shadow (`_shadow_alternating_sum`).
 """
 
 from fractions import Fraction
@@ -12,7 +15,27 @@ from functools import lru_cache
 
 from vassiliev.errors import ConsistencyError, DiagramError
 from vassiliev.gausscodes import GaussCode
-from vassiliev.invariants import _shadow_alternating_sum, _sum_over_summands
+from vassiliev.invariants import _sum_over_summands, a2_alexander
+
+
+def _trefoil_shadow(switch):
+    """The all-positive 3-crossing code with a subset of crossings switched."""
+    base = GaussCode.from_text("O1+,U2+,O3+,U1+,O2+,U3+")
+    return base.switched(switch)
+
+
+def _shadow_alternating_sum(f, crossings) -> Fraction:
+    """Sum of (-1)^|S| f(shadow with S switched) over subsets S of crossings."""
+    total = Fraction(0)
+    for mask in range(1 << len(crossings)):
+        switch = {cid for k, cid in enumerate(crossings) if mask >> k & 1}
+        total += (-1) ** len(switch) * f(_trefoil_shadow(switch))
+    return total
+
+
+def a2_weight_calibration() -> Fraction:
+    """Raw weight of the crossing diagram 1212 under a2 (should be 1)."""
+    return _shadow_alternating_sum(a2_alexander, (1, 2))
 
 
 def kauffman_bracket(code: GaussCode) -> dict:

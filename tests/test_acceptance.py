@@ -10,19 +10,13 @@ from itertools import permutations
 from math import factorial
 
 from vassiliev.bounds import (
-    brute_force_class_count,
-    brute_force_x_size,
     brute_force_xtilde,
     comparison_rows,
     divisors,
     primitive_bound,
     xtilde_count,
 )
-from vassiliev.diagrams import (
-    ChordDiagram,
-    enumerate_connected_ccds,
-    sample_connected_ccds,
-)
+from vassiliev.diagrams import ChordDiagram
 from vassiliev.gausscodes import connected_sum
 from vassiliev.invariants import (
     a2_alexander,
@@ -32,7 +26,6 @@ from vassiliev.invariants import (
 )
 from vassiliev.linalg import RelationSpan
 from vassiliev.ngons import (
-    add_chord_length_two,
     complete_ngon,
     ngon_representatives,
     one_branch_tree,
@@ -46,6 +39,9 @@ from vassiliev.ribbon import (
     verify_ohyama_identity,
 )
 
+from bounds_oracle import brute_force_class_count, brute_force_x_size
+from ccds import (add_chord_length_two, enumerate_connected_ccds,
+                  sample_connected_ccds)
 from gfp_oracle import rank_mod_p
 from skein_oracle import a2_skein
 

@@ -8,8 +8,6 @@ from vassiliev.bounds import (
     _conjugate_by_shift,
     _cycles,
     bound_report,
-    brute_force_class_count,
-    brute_force_x_size,
     brute_force_xtilde,
     comparison_rows,
     divisors,
@@ -20,6 +18,8 @@ from vassiliev.bounds import (
     xtilde_count,
 )
 from vassiliev.errors import ResourceGuardError
+
+from bounds_oracle import brute_force_class_count, brute_force_x_size
 
 PUBLISHED = {3: 1, 4: 2, 5: 4, 6: 14, 7: 54, 8: 332, 9: 2246}
 

@@ -136,6 +136,7 @@ def test_unknown_flag_exits_2():
     (["ribbon", "verify", "--sigma", "1,2"],
      {"VASSILIEV_SIMPLIFY_BUDGET": "-5"}),
     (["selftest"], {"VASSILIEV_SIMPLIFY_BUDGET": "-5"}),
+    (["ohyama", "--sigma", "1,2,3,4,5,6,7,8,9"], {}),
 ])
 def test_bad_input_exits_2_with_one_line(argv, env):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))

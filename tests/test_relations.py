@@ -11,18 +11,18 @@ from vassiliev.diagrams import (
     ChordDiagram,
     DiagramSum,
     enumerate_chord_diagrams,
-    enumerate_connected_ccds,
 )
 from vassiliev.errors import ConsistencyError, DiagramError
 from vassiliev.relations import (
     four_t_relations,
-    ihx_relation,
     split_diagram_span,
     quotient_spans,
     stu_expand,
     stu_resolutions,
 )
 from vassiliev.linalg import RelationSpan, _int_row, _normalize
+
+from ccds import enumerate_connected_ccds, ihx_relation
 
 
 def theta():

@@ -13,7 +13,6 @@ from vassiliev.ribbon import (
     CrossingScheme,
     FormalKnot,
     all_switchings_trivial,
-    code_scheme_diagrams,
     formal_vn_inverse,
     ohyama_diagrams,
     realize_weights,
@@ -22,6 +21,7 @@ from vassiliev.ribbon import (
     verify_ohyama_identity,
 )
 
+from ribbon_oracle import code_scheme_diagrams
 from skein_oracle import a2_skein
 
 
