@@ -13,9 +13,12 @@ three incident edge ends.  Reversing the cyclic order at one internal
 vertex is the antisymmetry move and costs a sign.  `CCD.canonical`
 chooses each vertex's orientation when its traversal first meets it; the
 search over every flip mask is its test oracle (`tests/ccd_oracle.py`).
+Each distinct CCD is searched once while it stays in the bounded memo.
+`CCD(...)` and `CCD.build` check every field; the surgeries and the
+canonical relabelling make valid diagrams from valid ones unchecked.
 
-`DiagramSum` is a formal linear combination with exact rational
-coefficients, used for all relation arithmetic downstream.
+`DiagramSum` is a formal linear combination with integer coefficients,
+used for all relation arithmetic downstream.
 """
 
 from __future__ import annotations
@@ -41,8 +44,16 @@ def _relabelled_rotation(seq, r):
         yield seen.setdefault(s, len(seen) + 1)
 
 
-_CANONICAL_MEMO_CAP = 200000   # words; one orbit (2n of them) must fit
+_CANONICAL_MEMO_CAP = 200000   # entries of one memo; one orbit must fit
 _CANONICAL_MEMO = {}           # first-occurrence word -> canonical word
+
+
+def _remember(memo, entries):
+    """Store `entries` in `memo`, clearing it first when they would take it
+    past _CANONICAL_MEMO_CAP: the one bound of every diagram memo."""
+    if len(memo) + len(entries) > _CANONICAL_MEMO_CAP:
+        memo.clear()
+    memo.update(entries)
 
 
 def _least_rotation(key):
@@ -50,16 +61,13 @@ def _least_rotation(key):
 
     This is the one memo of canonical chord words.  A miss stores the
     whole rotation orbit, each rotation relabelled in first-occurrence
-    order, so every other word of the diagram hits.  The memo is cleared
-    when the next orbit would take it past _CANONICAL_MEMO_CAP.
+    order, so every other word of the diagram hits.
     """
     best = _CANONICAL_MEMO.get(key)
     if best is None:
         orbit = [tuple(_relabelled_rotation(key, r)) for r in range(len(key))]
         best = min(orbit)
-        if len(_CANONICAL_MEMO) + len(orbit) > _CANONICAL_MEMO_CAP:
-            _CANONICAL_MEMO.clear()
-        _CANONICAL_MEMO.update(dict.fromkeys(orbit, best))
+        _remember(_CANONICAL_MEMO, dict.fromkeys(orbit, best))
     return best
 
 
@@ -253,10 +261,6 @@ class CCD:
         """External-external edges (sorted pairs)."""
         return self.chords
 
-    @staticmethod
-    def from_chord_diagram(d: ChordDiagram) -> "CCD":
-        return CCD.build(2 * d.n, (), d.chords())
-
     def pairing(self):
         """Symmetric half-edge pairing; ends are ("x", p) or ("v", i, s)."""
         pairing = {}
@@ -270,50 +274,9 @@ class CCD:
             pairing[("x", b)] = ("x", a)
         return pairing
 
-    @staticmethod
-    def from_pairing(pairing) -> "CCD":
-        """Build a CCD from a symmetric half-edge pairing.
-
-        External positions and internal vertex ids are renumbered from 0
-        in sorted order, so a surgery names a new point between p and p+1
-        as p + 0.5 and deletes a vertex by dropping its ends.
-        """
-        pos = {p: k for k, p in enumerate(
-            sorted(end[1] for end in pairing if end[0] == "x"))}
-        ids = {j: k for k, j in enumerate(
-            sorted({end[1] for end in pairing if end[0] == "v"}))}
-        table = [[None] * 3 for _ in ids]
-        chords = []
-        for end, tgt in pairing.items():
-            if end[0] == "x":
-                if tgt[0] == "x" and end[1] < tgt[1]:
-                    chords.append((pos[end[1]], pos[tgt[1]]))
-            elif tgt[0] == "x":
-                table[ids[end[1]]][end[2]] = ("x", pos[tgt[1]])
-            else:
-                table[ids[end[1]]][end[2]] = ("v", ids[tgt[1]], tgt[2])
-        return CCD.build(len(pos), table, sorted(chords))
-
     @property
     def order(self) -> int:
         return (self.ext + len(self.vertices)) // 2
-
-    @property
-    def internal_count(self) -> int:
-        return len(self.vertices)
-
-    def external_target(self, p):
-        """What external vertex p is joined to: a target or ("x", q) chord."""
-        for i, slots in enumerate(self.vertices):
-            for s, tgt in enumerate(slots):
-                if tgt == ("x", p):
-                    return ("v", i, s)
-        for a, b in self.chord_pairs:
-            if a == p:
-                return ("x", b)
-            if b == p:
-                return ("x", a)
-        raise DiagramError(f"external vertex {p} has no edge")
 
     def is_chord_diagram(self) -> bool:
         return not self.vertices
@@ -342,113 +305,162 @@ class CCD:
         only states reading the least symbol go on.  `sign` is the parity of
         the survivor with the least (flip mask, r); `as_null` flags an
         orientation-reversing automorphism, survivors of both parities.
+
+        The answer is kept on the CCD and in `_CCD_MEMO`, keyed by `_code`,
+        so an equal CCD built again is not searched again.  The memo shares
+        one canonical CCD per class and is bounded by `_remember`.
         """
-        cached = getattr(self, "_canon", None)
-        if cached is not None:
-            return cached
-        E, I = self.ext, len(self.vertices)
-        pairing = self.pairing()
-        # ends as ints: external p is p, slot s of vertex j is E + 3j + s;
-        # symbols in certificate order: external q - r, E + 3 label + slot
-        num = lambda end: end[1] if end[0] == "x" else E + 3 * end[1] + end[2]
-        partner = {num(end): num(tgt) for end, tgt in pairing.items()}
-        NEW = E + 3 * I        # the symbol of a vertex met for the first time
-        # a state: (flip mask, r, ends queued, per vertex (label, entry slot,
-        # sense)); sense is -1 on a flipped vertex, whose slots read backwards
-        states = [(0, r, (), (None,) * I) for r in range(E)]
-        p = head = met = 0
-        while head < 2 * met or p < E:
-            syms, reads = [], []
-            for _, r, queue, info in states:
-                t = queue[head] if head < 2 * met else partner[(r + p) % E]
-                j, s = divmod(t - E, 3)
-                if t < E:
-                    syms.append((t - r) % E)
-                elif info[j] is None:
-                    syms.append(NEW)
-                else:
-                    lab, entry, sense = info[j]
-                    syms.append(E + 3 * lab + (s - entry) * sense % 3)
-                reads.append(t)
-            least = min(syms)
-            head, p = (head + 1, p) if head < 2 * met else (head, p + 1)
-            kept = [(st, t) for st, t, sym in zip(states, reads, syms)
-                    if sym == least]
-            states = [st for st, _ in kept]
-            if least == NEW:
-                states = []
-                for (mask, r, queue, info), t in kept:
-                    j, s = divmod(t - E, 3)
-                    for sense in (1, -1):
-                        states.append((mask | (sense < 0) << j, r, queue + (
-                            partner[t - s + (s + sense) % 3],
-                            partner[t - s + (s + 2 * sense) % 3]),
-                            info[:j] + ((met, s, sense),) + info[j + 1:]))
-                met += 1
-        if met != I:
-            raise DiagramError("CCD graph is disconnected")
-        mask, r, _, info = min(states)   # (mask, r) is unique to a state
-        null = len({m.bit_count() % 2 for m, _, _, _ in states}) == 2
-
-        # relabel by the winner: external p -> p - r, vertex j -> its label,
-        # each slot -> its offset from the entry slot in the chosen orientation
-        def relabel(end):
-            if end[0] == "x":
-                return ("x", (end[1] - r) % E)
-            _, j, s = end
-            lab, entry, sense = info[j]
-            return ("v", lab, (s - entry) * sense % 3)
-
-        canon = CCD.from_pairing({relabel(end): relabel(tgt)
-                                  for end, tgt in pairing.items()})
-        object.__setattr__(canon, "_canon", (canon, 1, null))  # fixed point
-        result = (canon, -1 if mask.bit_count() % 2 else 1, null)
-        object.__setattr__(self, "_canon", result)
-        return result
+        if getattr(self, "_canon", None) is None:
+            code = _code(self.ext, self.vertices, self.chords)
+            object.__setattr__(self, "_canon", _CCD_MEMO.get(code)
+                               or _canonical_search(code))
+        return self._canon
 
     def key(self):
         """Hashable identity of the canonical class (ignoring sign)."""
         canon, _, _ = self.canonical()
         return (canon.ext, canon.vertices, canon.chord_pairs)
 
-    def __hash__(self):
-        return hash((self.ext, self.vertices, self.chord_pairs))
 
-    def __eq__(self, other):
-        if not isinstance(other, CCD):
-            return NotImplemented
-        return (self.ext, self.vertices, self.chord_pairs) == (
-            other.ext, other.vertices, other.chord_pairs)
+def _trusted(ext, vertices, chords) -> CCD:
+    """A CCD built without `__post_init__`'s checks.  Only the surgeries
+    (through `_from_pairing`) and the canonical relabelling call it: each
+    builds a valid diagram from a valid one."""
+    ccd = object.__new__(CCD)
+    vars(ccd).update(ext=ext, vertices=vertices, chords=chords)
+    return ccd
 
-    def to_json_dict(self):
-        """Serialisable encoding of the canonical form (bit-exact)."""
-        canon, _, _ = self.canonical()
-        edges = []
-        seen = set()
-        for i, slots in enumerate(canon.vertices):
-            for s, tgt in enumerate(slots):
-                a = ["v", i, s]
-                b = list(tgt)
-                k = tuple(sorted((tuple(a), tuple(b))))
-                if k not in seen:
-                    seen.add(k)
-                    edges.append(sorted((a, b)))
-        for a, b in canon.chord_pairs:
-            edges.append([["x", a], ["x", b]])
-        return {
-            "order": canon.order,
-            "external": list(range(canon.ext)),
-            "vertices": [[list(t) for t in slots] for slots in canon.vertices],
-            "edges": sorted(edges),
-        }
+
+def _from_pairing(pairing) -> CCD:
+    """The CCD of a symmetric half-edge pairing made from a valid CCD's.
+
+    External positions and internal vertex ids are renumbered from 0
+    in sorted order, so a surgery names a new point between p and p+1
+    as p + 0.5 and deletes a vertex by dropping its ends.
+    """
+    pos = {p: k for k, p in enumerate(
+        sorted(end[1] for end in pairing if end[0] == "x"))}
+    ids = {j: k for k, j in enumerate(
+        sorted({end[1] for end in pairing if end[0] == "v"}))}
+    table = [[None] * 3 for _ in ids]
+    chords = []
+    for end, tgt in pairing.items():
+        if end[0] == "x":
+            if tgt[0] == "x" and end[1] < tgt[1]:
+                chords.append((pos[end[1]], pos[tgt[1]]))
+        elif tgt[0] == "x":
+            table[ids[end[1]]][end[2]] = ("x", pos[tgt[1]])
+        else:
+            table[ids[end[1]]][end[2]] = ("v", ids[tgt[1]], tgt[2])
+    return _trusted(len(pos), tuple(map(tuple, table)), tuple(sorted(chords)))
+
+
+_CCD_MEMO = {}   # `_code` of a CCD -> (canonical CCD, sign, as_null)
+
+
+def _code(ext, vertices, chords):
+    """A CCD's fields as one tuple of ints: ext, the internal vertex count,
+    each slot's target (external p as p, slot s of vertex j as
+    ext + 3j + s), then the chord ends."""
+    return (ext, len(vertices),
+            *[t[1] if t[0] == "x" else ext + 3 * t[1] + t[2]
+              for slots in vertices for t in slots],
+            *[p for c in chords for p in c])
+
+
+def _canonical_search(code):
+    """`CCD.canonical` of the CCD with this `_code`, searched; the answer
+    and the canonical CCD's own go into `_CCD_MEMO`."""
+    E, I = code[0], code[1]
+    # ends as ints, as in `_code`; symbols in certificate order: external
+    # q - r, E + 3 label + slot
+    partner = list(range(E + 3 * I))
+    for end, t in enumerate(code[2:2 + 3 * I], start=E):
+        partner[end] = t
+        if t < E:
+            partner[t] = end
+    chord_ends = code[2 + 3 * I:]
+    for a, b in zip(chord_ends[::2], chord_ends[1::2]):
+        partner[a], partner[b] = b, a
+    NEW = E + 3 * I        # the symbol of a vertex met for the first time
+    # a state: (flip mask, r, ends queued, per vertex (label, entry slot,
+    # sense)); sense is -1 on a flipped vertex, whose slots read backwards
+    states = [(0, r, (), (None,) * I) for r in range(E)]
+    p = head = met = 0
+    while head < 2 * met or p < E:
+        syms, reads = [], []
+        for _, r, queue, info in states:
+            t = queue[head] if head < 2 * met else partner[(r + p) % E]
+            j, s = divmod(t - E, 3)
+            if t < E:
+                syms.append((t - r) % E)
+            elif info[j] is None:
+                syms.append(NEW)
+            else:
+                lab, entry, sense = info[j]
+                syms.append(E + 3 * lab + (s - entry) * sense % 3)
+            reads.append(t)
+        least = min(syms)
+        head, p = (head + 1, p) if head < 2 * met else (head, p + 1)
+        kept = [(st, t) for st, t, sym in zip(states, reads, syms)
+                if sym == least]
+        states = [st for st, _ in kept]
+        if least == NEW:
+            states = []
+            for (mask, r, queue, info), t in kept:
+                j, s = divmod(t - E, 3)
+                for sense in (1, -1):
+                    states.append((mask | (sense < 0) << j, r, queue + (
+                        partner[t - s + (s + sense) % 3],
+                        partner[t - s + (s + 2 * sense) % 3]),
+                        info[:j] + ((met, s, sense),) + info[j + 1:]))
+            met += 1
+    if met != I:
+        raise DiagramError("CCD graph is disconnected")
+    mask, r, _, info = min(states)   # (mask, r) is unique to a state
+    null = len({m.bit_count() % 2 for m, _, _, _ in states}) == 2
+
+    # relabel by the winner: external p -> p - r, vertex j -> its label,
+    # each slot -> its offset from the entry slot in the chosen orientation
+    def relabel(t):
+        if t < E:
+            return ("x", (t - r) % E)
+        lab, entry, sense = info[(t - E) // 3]
+        return ("v", lab, ((t - E) % 3 - entry) * sense % 3)
+
+    table = [None] * I
+    for j, (lab, entry, sense) in enumerate(info):
+        ends = [relabel(partner[E + 3 * j + s]) for s in range(3)]
+        table[lab] = tuple(ends[(entry + sense * k) % 3] for k in range(3))
+    chords = tuple(sorted(tuple(sorted(((a - r) % E, (b - r) % E)))
+                          for a, b in zip(chord_ends[::2], chord_ends[1::2])))
+    canon_code = _code(E, table, chords)
+    known = _CCD_MEMO.get(canon_code)
+    if known is None:
+        known = (_trusted(E, tuple(table), chords), 1, null)
+        object.__setattr__(known[0], "_canon", known)   # a fixed point
+    result = (known[0], -1, null) if mask.bit_count() % 2 else known
+    _remember(_CCD_MEMO, {code: result, canon_code: known})
+    return result
 
 
 # ---------------------------------------------------------------------------
 # formal sums
 # ---------------------------------------------------------------------------
 
+def _integral(coeff) -> int:
+    """`coeff` as an int: an int, or a Fraction with denominator 1."""
+    if isinstance(coeff, (int, Fraction)) and coeff.denominator == 1:
+        return int(coeff)
+    raise DiagramError(f"diagram sum coefficients are integers, not {coeff!r}")
+
+
 class DiagramSum:
-    """Formal rational combination of canonical diagrams of equal order."""
+    """Formal integer combination of canonical diagrams of equal order.
+
+    Every sum the library builds is integral, so `add` and `scaled` take
+    an int or a Fraction with denominator 1, and raise DiagramError on
+    anything else."""
 
     __slots__ = ("terms", "order")
 
@@ -460,7 +472,7 @@ class DiagramSum:
                 self.add(d, c)
 
     def add(self, diagram, coeff):
-        coeff = Fraction(coeff)
+        coeff = _integral(coeff)
         if coeff == 0:
             return self
         if isinstance(diagram, CCD):
@@ -478,7 +490,7 @@ class DiagramSum:
             self.order = order
         elif self.order != order:
             raise DiagramError("mixed orders in one DiagramSum")
-        new = self.terms.get(diagram, Fraction(0)) + coeff
+        new = self.terms.get(diagram, 0) + coeff
         if new == 0:
             self.terms.pop(diagram, None)
             if not self.terms:
@@ -487,21 +499,33 @@ class DiagramSum:
             self.terms[diagram] = new
         return self
 
-    def __add__(self, other):
+    def _plus(self, other, k):
+        """self + k * other, merged term by term: both hold canonical terms."""
+        if self.terms and other.terms and self.order != other.order:
+            raise DiagramError("mixed orders in one DiagramSum")
         out = DiagramSum()
-        for d, c in self.terms.items():
-            out.add(d, c)
+        terms = out.terms = dict(self.terms)
         for d, c in other.terms.items():
-            out.add(d, c)
+            new = terms.get(d, 0) + k * c
+            if new:
+                terms[d] = new
+            else:
+                del terms[d]
+        out.order = (self.order or other.order) if terms else None
         return out
 
+    def __add__(self, other):
+        return self._plus(other, 1)
+
     def __sub__(self, other):
-        return self + other.scaled(-1)
+        return self._plus(other, -1)
 
     def scaled(self, k):
+        k = _integral(k)
         out = DiagramSum()
-        for d, c in self.terms.items():
-            out.add(d, c * Fraction(k))
+        if k and self.terms:
+            out.terms = {d: c * k for d, c in self.terms.items()}
+            out.order = self.order
         return out
 
     def is_zero(self) -> bool:

@@ -94,12 +94,6 @@ class GaussCode:
     def crossings(self):
         return sorted({p.crossing for p in self.passages})
 
-    def sign_of(self, cid: int) -> int:
-        for p in self.passages:
-            if p.crossing == cid:
-                return p.sign
-        raise DiagramError(f"no crossing {cid}")
-
     # -- moves on the code -------------------------------------------------
 
     def switched(self, ids) -> "GaussCode":

@@ -1,9 +1,10 @@
 """Exact sparse linear algebra over diagram bases.
 
-Rows come in as int sparse rows {column: int} (`four_t_relations` builds
-its 4T rows that way, over the enumeration order) or as `DiagramSum`s,
-which are read over the basis and cleared of denominators.  They are
-kept as integer sparse vectors (content normalised by gcd);
+Rows come in as sparse rows {column: int or Fraction}, cleared of
+denominators (`four_t_relations` builds its 4T rows as int rows over the
+enumeration order), or as `DiagramSum`s, whose integer coefficients are
+read over the basis as they are.  They are kept as integer sparse
+vectors (content normalised by gcd);
 reduction is fraction-free, so no floating point enters any result.  The
 pivot rows are fully reduced: each holds its own lowest column, its
 pivot, and no other pivot column.  So `pivots` is the reduced row echelon
@@ -26,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .diagrams import ChordDiagram, DiagramSum, is_split
+from .diagrams import ChordDiagram, DiagramSum
 from .errors import ConsistencyError, DiagramError
 
 
@@ -103,13 +104,14 @@ class RelationSpan:
         return RelationSpan(enumerate_chord_diagrams(n)).add_all(rows)
 
     def vector_of(self, combo: DiagramSum):
+        """The int row of `combo`: its terms are distinct and nonzero."""
         vec = {}
         for d, c in combo.terms.items():
             i = self.index.get(d)
             if i is None:
                 raise DiagramError(f"diagram {d} not in basis")
-            vec[i] = vec.get(i, 0) + c
-        return {c: v for c, v in vec.items() if v != 0}
+            vec[i] = c
+        return vec
 
     def add(self, row):
         """Insert a relation; accepts a DiagramSum or a sparse vector."""
@@ -124,7 +126,7 @@ class RelationSpan:
         """
         if self.read_only:
             raise ConsistencyError("shared span is read-only; add to a copy()")
-        vecs = [_int_row(self.vector_of(r) if isinstance(r, DiagramSum) else r)
+        vecs = [self.vector_of(r) if isinstance(r, DiagramSum) else _int_row(r)
                 for r in rows]
         self.rows.extend(vecs)
         pivots = self.pivots
@@ -162,9 +164,7 @@ class RelationSpan:
     def member(self, vec) -> bool:
         """Exact membership of a vector (or DiagramSum) in the row space."""
         if isinstance(vec, DiagramSum):
-            if vec.is_zero():
-                return True
-            vec = self.vector_of(vec)
+            return not _eliminate(self.vector_of(vec), self.pivots)
         if any(c not in range(len(self.basis)) for c in vec):
             raise DiagramError("vector indexed outside the basis")
         return not _eliminate(_int_row(vec), self.pivots)
@@ -227,11 +227,6 @@ class WeightSystem:
                 by_col[col] = v.numerator * (den // v.denominator)
         return all(sum(v * by_col[col] for col, v in row.items()) == 0
                    for row in span.rows)
-
-    def is_primitive(self) -> bool:
-        """Vanishes on every split diagram of its order."""
-        return all(self(d) == 0
-                   for d in self.values if is_split(d))
 
     def normalized_at(self, diagram):
         """This functional scaled to take the value 1 on `diagram`."""

@@ -32,7 +32,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations
 
-from .diagrams import CCD, DiagramSum
+from .diagrams import CCD, DiagramSum, _from_pairing
 from .errors import ConsistencyError, DiagramError, ResourceGuardError
 from .relations import ihx_pieces, quotient_spans, stu_expand
 
@@ -139,25 +139,21 @@ def _ngon_class_table(n: int):
     for rep in ngon_representatives(n):
         ccd = complete_ngon(rep)
         _, sign, null = ccd.canonical()
-        key = ccd.key()
-        if key not in table:
-            table[key] = (rep, sign, null)
+        table.setdefault(ccd.key(), (rep, sign, null))
     return table
 
 
 def ngon_coefficients(combo: DiagramSum):
     """(representative, int coefficient) for each term of a combination of
     complete n-gons, in `items_sorted` order, signed to the
-    representative's own n-gon.  Null gons are skipped; a non-integer
-    coefficient or a term that is not a complete n-gon raises DiagramError.
+    representative's own n-gon.  Null gons are skipped; a term that is not
+    a complete n-gon raises DiagramError.
     """
     if combo.is_zero():
         return []
     table = _ngon_class_table(combo.order)
     out = []
     for diagram, coeff in combo.items_sorted():
-        if coeff.denominator != 1:
-            raise DiagramError("clear denominators before reading n-gons")
         if not isinstance(diagram, CCD) or diagram.key() not in table:
             raise DiagramError(
                 "combo must be supported on complete n-gon diagrams")
@@ -165,7 +161,7 @@ def ngon_coefficients(combo: DiagramSum):
         if null:
             continue
         rep, rep_sign, _ = table[diagram.key()]
-        out.append((rep, int(coeff) * sign * rep_sign))
+        out.append((rep, coeff * sign * rep_sign))
     return out
 
 
@@ -180,11 +176,10 @@ def fuse_adjacent_legs(ccd: CCD, p: int):
     convention (the fused diagram resolves back to "ccd minus swapped").
     """
     q = (p + 1) % ccd.ext
-    far1 = ccd.external_target(p)   # leg at the early position
-    far2 = ccd.external_target(q)
+    pairing = ccd.pairing()
+    far1, far2 = pairing[("x", p)], pairing[("x", q)]   # early, late legs
     if far1[0] != "v" or far2[0] != "v":
         raise DiagramError("fusion needs internal legs at both positions")
-    pairing = ccd.pairing()
     # the two positions merge into one external vertex, which keeps key p
     del pairing[("x", q)]
     v_new = len(ccd.vertices)
@@ -192,7 +187,7 @@ def fuse_adjacent_legs(ccd: CCD, p: int):
     for s, end in enumerate((("x", p), far2, far1)):
         pairing[("v", v_new, s)] = end
         pairing[end] = ("v", v_new, s)
-    fused = CCD.from_pairing(pairing)
+    fused = _from_pairing(pairing)
 
     swapped = _swap_external_targets(ccd, p, q)
     return fused, swapped
@@ -205,7 +200,7 @@ def _swap_external_targets(ccd: CCD, p: int, q: int) -> CCD:
     pairing[fq] = ("x", p)
     pairing[("x", q)] = fp
     pairing[fp] = ("x", q)
-    return CCD.from_pairing(pairing)
+    return _from_pairing(pairing)
 
 
 # ---------------------------------------------------------------------------
@@ -214,20 +209,13 @@ def _swap_external_targets(ccd: CCD, p: int, q: int) -> CCD:
 
 def _internal_cycle(ccd: CCD):
     """Vertex set of the unique internal cycle (strip leaves repeatedly)."""
-    deg = {}
-    adj = {}
-    for i, slots in enumerate(ccd.vertices):
-        for s, tgt in enumerate(slots):
-            if tgt[0] == "v":
-                deg[i] = deg.get(i, 0) + 1
-                adj.setdefault(i, []).append(tgt[1])
-    alive = set(range(len(ccd.vertices)))
+    adj = [[t[1] for t in slots if t[0] == "v"] for slots in ccd.vertices]
+    alive = set(range(len(adj)))
     changed = True
     while changed:
         changed = False
         for v in sorted(alive):
-            live_deg = sum(1 for u in adj.get(v, []) if u in alive)
-            if live_deg <= 1:
+            if sum(u in alive for u in adj[v]) <= 1:
                 alive.discard(v)
                 changed = True
     return alive

@@ -35,8 +35,10 @@ from .diagrams import (
     CCD,
     CHORD_ENUM_GUARD,
     DiagramSum,
+    _from_pairing,
     _least_rotation,
     _matchings,
+    _remember,
     _word_from_matching,
     enumerate_chord_diagrams,
     is_split,
@@ -54,14 +56,15 @@ def stu_resolutions(ccd: CCD, p: int):
 
     Returns (parallel, crossed); the diagram equals parallel - crossed.
     """
-    tgt = ccd.external_target(p)
-    if tgt[0] != "v":
-        raise DiagramError("external vertex is on a chord, nothing to resolve")
+    base = ccd.pairing()
+    tgt = base.get(("x", p))
+    if tgt is None or tgt[0] != "v":
+        raise DiagramError(f"no internal vertex at external vertex {p}")
     _, v, stem = tgt
 
     def reattach(first, second):
         # far end of the h2 edge -> first ; far end of the h1 edge -> second
-        pairing = ccd.pairing()
+        pairing = dict(base)
         far1 = pairing[("v", v, (stem + 2) % 3)]
         far2 = pairing[("v", v, (stem + 1) % 3)]
         for end in (("v", v, 0), ("v", v, 1), ("v", v, 2), ("x", p)):
@@ -72,7 +75,7 @@ def stu_resolutions(ccd: CCD, p: int):
         for far, new in ((far1, first), (far2, second)):
             pairing[far] = ("x", new)
             pairing[("x", new)] = far
-        return CCD.from_pairing(pairing)
+        return _from_pairing(pairing)
 
     # the early point keeps key p, the late one goes between p and p + 1
     parallel = reattach(p, p + 0.5)
@@ -80,7 +83,7 @@ def stu_resolutions(ccd: CCD, p: int):
     return parallel, crossed
 
 
-_STU_MEMO = {}
+_STU_MEMO = {}   # canonical class key -> STU expansion of its canonical CCD
 
 
 def stu_expand(c: CCD) -> DiagramSum:
@@ -88,7 +91,8 @@ def stu_expand(c: CCD) -> DiagramSum:
 
     Deterministic: the canonical form is taken first and the internal
     vertex adjacent to the lowest-numbered external vertex is resolved at
-    each step.  Well defined modulo 4T.
+    each step.  Well defined modulo 4T.  Each class is expanded once while
+    it stays in `_STU_MEMO`, which is bounded like the canonical memos.
     """
     canon, sign, null = c.canonical()
     if null:
@@ -97,7 +101,7 @@ def stu_expand(c: CCD) -> DiagramSum:
     got = _STU_MEMO.get(key)
     if got is None:
         got = _stu_expand_canonical(canon)
-        _STU_MEMO[key] = got
+        _remember(_STU_MEMO, {key: got})
     return got.scaled(sign)
 
 
@@ -110,10 +114,10 @@ def _stu_expand_canonical(canon: CCD) -> DiagramSum:
 
 
 def _lowest_resolvable(ccd: CCD) -> int:
-    for p in range(ccd.ext):
-        if ccd.external_target(p)[0] == "v":
-            return p
-    raise DiagramError("no internal vertex adjacent to the circle")
+    ends = [t[1] for slots in ccd.vertices for t in slots if t[0] == "x"]
+    if not ends:
+        raise DiagramError("no internal vertex adjacent to the circle")
+    return min(ends)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +189,7 @@ def _rewire(ccd: CCD, v, w, v_legs, w_legs):
         else:
             pairing[mine] = f
             pairing[f] = mine
-    return CCD.from_pairing(pairing)
+    return _from_pairing(pairing)
 
 
 def ihx_pieces(c: CCD, edge):

@@ -76,11 +76,6 @@ class CrossingScheme:
     def to_json(self) -> str:
         return json.dumps({"T": [list(p) for p in self.sets]})
 
-    @staticmethod
-    def from_json(text: str) -> "CrossingScheme":
-        data = json.loads(text)
-        return CrossingScheme(tuple(tuple(p) for p in data["T"]))
-
 
 # ---------------------------------------------------------------------------
 # geometric assembler

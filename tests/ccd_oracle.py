@@ -6,9 +6,9 @@ the independent slow path that the lazy-orientation search in
 `CCD.canonical` is checked against.
 """
 
-from vassiliev.diagrams import CCD
 from vassiliev.errors import DiagramError
 
+from ccds import from_pairing
 from sequences import least_sequence
 
 _FLIP_EFF = {0: 0, 2: 1, 1: 2}      # effective position of abs slot, flipped
@@ -75,8 +75,8 @@ def exhaustive_canonical(c):
         eff = _FLIP_EFF[s] if flips[j] else s
         return ("v", lab, (eff - entry) % 3)
 
-    canon = CCD.from_pairing({relabel(end): relabel(tgt)
-                              for end, tgt in pairing.items()})
+    canon = from_pairing({relabel(end): relabel(tgt)
+                          for end, tgt in pairing.items()})
     return canon, -1 if sum(flips) % 2 else 1, len(parities) == 2
 
 

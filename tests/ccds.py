@@ -1,6 +1,7 @@
-"""Builders of connected CCDs for the tests: the connectivity test, the
-enumeration and the seeded sample of small orders, the chord-of-length-two
-insertion and the IHX combination.
+"""Builders of CCDs for the tests: the checked builders from a half-edge
+pairing and from a chord diagram, the connectivity test, the enumeration
+and the seeded sample of small orders, the chord-of-length-two insertion,
+the IHX combination and the JSON encoding of a canonical form.
 
 The library reduces trees to n-gons without enumerating CCDs; the tests
 use these corpora to check `CCD.canonical`, STU expansion and the
@@ -10,11 +11,23 @@ guarded, since the half-edge matching space grows factorially.
 
 import random
 
-from vassiliev.diagrams import CCD, DiagramSum, _arc_separates
+from vassiliev.diagrams import (CCD, ChordDiagram, DiagramSum, _arc_separates,
+                                _from_pairing)
 from vassiliev.errors import DiagramError, ResourceGuardError
 from vassiliev.relations import ihx_pieces
 
 CCD_ENUM_GUARD = 5
+
+
+def from_pairing(pairing) -> CCD:
+    """The CCD of a symmetric half-edge pairing, with every check of
+    `CCD(...)`; the library's surgeries build it unchecked."""
+    c = _from_pairing(pairing)
+    return CCD(c.ext, c.vertices, c.chords)
+
+
+def from_chord_diagram(d: ChordDiagram) -> CCD:
+    return CCD.build(2 * d.n, (), d.chords())
 
 
 def is_connected_ccd(c: CCD) -> bool:
@@ -57,7 +70,7 @@ def _connected_canonical(pairs):
     pairing = dict(pairs)
     pairing.update((b, a) for a, b in pairs)
     try:
-        ccd = CCD.from_pairing(pairing)
+        ccd = from_pairing(pairing)
         if not is_connected_ccd(ccd):
             return None
         canon, _, null = ccd.canonical()
@@ -101,7 +114,7 @@ def _matchings_canonically_labelled(E, I):
 
 
 def _sorted_ccds(ccds):
-    return sorted(ccds, key=lambda c: (c.internal_count, c.ext, c.vertices,
+    return sorted(ccds, key=lambda c: (len(c.vertices), c.ext, c.vertices,
                                        c.chord_pairs))
 
 
@@ -157,10 +170,33 @@ def add_chord_length_two(c: CCD, pos: int) -> CCD:
     pairing = c.pairing()
     pairing[("x", pos - 0.5)] = ("x", pos + 0.5)
     pairing[("x", pos + 0.5)] = ("x", pos - 0.5)
-    return CCD.from_pairing(pairing)
+    return from_pairing(pairing)
 
 
 def ihx_relation(c: CCD, edge) -> DiagramSum:
     """I - H + X for the internal-internal edge given as a slot ref (i, s)."""
     ident, h, x = ihx_pieces(c, edge)
     return DiagramSum([(ident, 1), (h, -1), (x, 1)])
+
+
+def ccd_json(c: CCD):
+    """Serialisable encoding of the canonical form of c (bit-exact)."""
+    canon, _, _ = c.canonical()
+    edges = []
+    seen = set()
+    for i, slots in enumerate(canon.vertices):
+        for s, tgt in enumerate(slots):
+            a = ["v", i, s]
+            b = list(tgt)
+            k = tuple(sorted((tuple(a), tuple(b))))
+            if k not in seen:
+                seen.add(k)
+                edges.append(sorted((a, b)))
+    for a, b in canon.chord_pairs:
+        edges.append([["x", a], ["x", b]])
+    return {
+        "order": canon.order,
+        "external": list(range(canon.ext)),
+        "vertices": [[list(t) for t in slots] for slots in canon.vertices],
+        "edges": sorted(edges),
+    }

@@ -1,5 +1,13 @@
-"""GF(p) rank of integer sparse rows: the modular cross-check of the
-exact rank of a `RelationSpan`, kept apart from the trusted path."""
+"""Cross-checks of `linalg` kept apart from the trusted path: the GF(p)
+rank of integer sparse rows, against the exact rank of a `RelationSpan`,
+and the primitivity of a weight system."""
+
+from vassiliev.diagrams import is_split
+
+
+def is_primitive(w) -> bool:
+    """The weight system w vanishes on every split diagram of its order."""
+    return all(w(d) == 0 for d in w.values if is_split(d))
 
 
 def rank_mod_p(rows, p: int) -> int:

@@ -1,11 +1,26 @@
 """Test oracle for `ribbon.ohyama_diagrams`: the signed scheme diagrams
-read off an actual family code instead of the layout formula."""
+read off an actual family code instead of the layout formula; and the
+readers of a crossing's sign and of a scheme's JSON that the tests use."""
 
+import json
 from itertools import product
 
 from vassiliev.diagrams import ChordDiagram
+from vassiliev.errors import DiagramError
 from vassiliev.gausscodes import GaussCode
 from vassiliev.ribbon import CrossingScheme
+
+
+def sign_of(code: GaussCode, cid: int) -> int:
+    for p in code.passages:
+        if p.crossing == cid:
+            return p.sign
+    raise DiagramError(f"no crossing {cid}")
+
+
+def scheme_from_json(text: str) -> CrossingScheme:
+    data = json.loads(text)
+    return CrossingScheme(tuple(tuple(p) for p in data["T"]))
 
 
 def code_scheme_diagrams(code: GaussCode, scheme: CrossingScheme):
@@ -27,7 +42,7 @@ def code_scheme_diagrams(code: GaussCode, scheme: CrossingScheme):
             # epsilon: the sign of the smashed crossing in the state where
             # the earlier crossings of its own set are already switched
             # (which leaves this crossing's sign untouched)
-            sign *= code.sign_of(pick)
+            sign *= sign_of(code, pick)
         want = set(smashed)
         labels = {cid: k + 1 for k, cid in enumerate(smashed)}
         for p in code.passages:

@@ -42,7 +42,7 @@ from vassiliev.ribbon import (
 from bounds_oracle import brute_force_class_count, brute_force_x_size
 from ccds import (add_chord_length_two, enumerate_connected_ccds,
                   sample_connected_ccds)
-from gfp_oracle import rank_mod_p
+from gfp_oracle import is_primitive, rank_mod_p
 from skein_oracle import a2_skein
 
 PUBLISHED_BOUNDS = [1, 2, 4, 14, 54, 332, 2246]
@@ -122,6 +122,17 @@ def test_criterion_05_ngons_span():
             span.add(stu_expand(complete_ngon(rep)))
         ok = ok and span.rank == len(span.basis)
     report(5, "4T + split + expanded n-gons has full rank, n in {3,4,5}", ok)
+
+
+def test_criterion_05b_order6_ngons_span():
+    t0 = time.time()
+    span = quotient_spans(6)[1].copy()
+    reps = ngon_representatives(6)
+    for rep in reps:
+        span.add(stu_expand(complete_ngon(rep)))
+    ok = len(reps) == 24 and span.rank == len(span.basis)
+    report(5, "4T + split + the 24 expanded 6-gons has full rank", ok,
+           f"{time.time()-t0:.1f}s")
 
 
 def test_criterion_06_reduction_soundness():
@@ -231,7 +242,7 @@ def test_criterion_12_consistency_checks():
     for n in (2, 3, 4, 5):
         span = relation_span(n)
         for w in span.dual_basis():
-            ok = ok and w.annihilates(span) and w.is_primitive()
+            ok = ok and w.annihilates(span) and is_primitive(w)
     # the a2 evaluators and the skein oracle agree on every generated code
     corpus = []
     for sigma in ((1, 2),) + tuple(ngon_representatives(3)):

@@ -3,12 +3,13 @@ import dataclasses
 import functools
 import pickle
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vassiliev import diagrams
+from vassiliev import diagrams, relations
 from vassiliev.diagrams import (
     CCD,
     ChordDiagram,
@@ -20,11 +21,12 @@ from vassiliev.diagrams import (
     is_split,
 )
 from vassiliev.errors import DiagramError, ResourceGuardError
-from vassiliev.ngons import complete_ngon, reduce_tree_to_ngons
+from vassiliev.ngons import complete_ngon, one_branch_tree, reduce_tree_to_ngons
+from vassiliev.relations import stu_expand
 
 from ccd_oracle import exhaustive_canonical, rigid_key, traversal
-from ccds import (enumerate_connected_ccds, is_connected_ccd,
-                  sample_connected_ccds)
+from ccds import (ccd_json, enumerate_connected_ccds, from_chord_diagram,
+                  from_pairing, is_connected_ccd, sample_connected_ccds)
 from chord_oracle import count_chord_diagrams_burnside, enumerate_via_from_word
 from sequences import least_sequence
 
@@ -260,7 +262,7 @@ def test_ccd_roundtrip_random_rotations():
                       for lab in range(1, n + 1)]
             canon, sign, null = CCD.build(2 * n, (), chords).canonical()
             assert sign == 1 and not null
-            assert canon == CCD.from_chord_diagram(d).canonical()[0]
+            assert canon == from_chord_diagram(d).canonical()[0]
             assert canon.to_chord_diagram() == d
 
 
@@ -281,12 +283,19 @@ def _scrambled(c, rnd):
         return ("v", ids[j], -s % 3 if flip[j] else s)
 
     pairing = {move(end): move(tgt) for end, tgt in c.pairing().items()}
-    return CCD.from_pairing(pairing), (-1) ** sum(flip)
+    return from_pairing(pairing), (-1) ** sum(flip)
 
 
 def _fresh(c):
     """A copy of c without its cached canonical form."""
     return CCD(c.ext, c.vertices, c.chords)
+
+
+def _searched(c):
+    """c's canonical form found by a search: a fresh copy, canonicalised
+    with the memo emptied, so no memo hit can stand in for the search."""
+    diagrams._CCD_MEMO.clear()
+    return _fresh(c).canonical()
 
 
 @functools.lru_cache(maxsize=1)
@@ -300,9 +309,9 @@ def test_canonical_form_is_the_min_certificate_and_a_fixed_point():
     rnd = random.Random(11)
     for c in _connected_ccds():
         moved, flip_sign = _scrambled(c, rnd)
-        canon, sign, null = moved.canonical()
+        canon, sign, null = _searched(moved)
         assert canon == c
-        assert _fresh(canon).canonical()[:2] == (canon, 1)
+        assert _searched(canon)[:2] == (canon, 1)
         I = len(c.vertices)
         pairing = moved.pairing()
         best = min(tuple(traversal(
@@ -341,16 +350,70 @@ def test_canonical_equals_the_exhaustive_oracle():
     nulls = 0
     for c in corpus:
         want = exhaustive_canonical(_fresh(c))
-        assert _fresh(c).canonical() == want
+        assert _searched(c) == want
         nulls += want[2]
     assert nulls and len(corpus) > 1000
 
 
 def test_canonical_seeds_its_fixed_point():
     for c in _oracle_corpus():
-        canon, _, null = _fresh(c).canonical()
+        canon, _, null = _searched(c)
         assert canon.canonical() == (canon, 1, null)
-        assert _fresh(canon).canonical() == (canon, 1, null)
+        assert _searched(canon) == (canon, 1, null)
+
+
+def test_canonical_memo_hit_equals_a_fresh_search():
+    for c in _oracle_corpus():
+        stored = _fresh(c).canonical()
+        hit = _fresh(c).canonical()
+        assert hit is diagrams._CCD_MEMO[
+            diagrams._code(c.ext, c.vertices, c.chords)]
+        assert hit is stored
+        # the memo shares one canonical CCD per class
+        assert _fresh(hit[0]).canonical()[0] is hit[0]
+        assert _searched(c) == hit
+
+
+def test_ccd_memo_stays_under_its_cap(monkeypatch):
+    monkeypatch.setattr(diagrams, "_CCD_MEMO", {})
+    monkeypatch.setattr(diagrams, "_CANONICAL_MEMO_CAP", 25)
+    rnd = random.Random(5)
+    for c in _connected_ccds():
+        for _ in range(2):
+            moved, flip_sign = _scrambled(c, rnd)
+            canon, sign, null = moved.canonical()
+            assert canon == c and (null or sign == flip_sign)
+            assert len(diagrams._CCD_MEMO) <= 25
+
+
+def test_trusted_builds_pass_every_check(monkeypatch):
+    """Every CCD the surgeries and the canonical relabelling build
+    unchecked equals `CCD.build` of its fields, which checks them, and
+    lists its chords in order, as every builder of the library does."""
+    built = []
+    trusted = diagrams._trusted
+
+    def spy(ext, vertices, chords):
+        built.append(trusted(ext, vertices, chords))
+        return built[-1]
+
+    monkeypatch.setattr(diagrams, "_trusted", spy)
+    monkeypatch.setattr(diagrams, "_CCD_MEMO", {})
+    monkeypatch.setattr(relations, "_STU_MEMO", {})
+    rnd = random.Random(3)
+    for c in _connected_ccds()[:-40]:   # every connected CCD of order <= 4
+        _scrambled(c, rnd)[0].canonical()
+        stu_expand(c)
+    for sigma in permutations(range(1, 6)):
+        for g in reduce_tree_to_ngons(sigma).terms:
+            stu_expand(g)
+        stu_expand(one_branch_tree(sigma))
+    assert len(built) > 2000
+    for c in built:
+        checked = CCD.build(c.ext, c.vertices, c.chords)
+        assert (checked.ext, checked.vertices, checked.chords) == (
+            c.ext, c.vertices, c.chords)
+        assert c.chords == tuple(sorted(c.chords))
 
 
 def test_canonical_rejects_a_component_off_the_circle():
@@ -366,9 +429,9 @@ def test_canonical_rejects_a_component_off_the_circle():
 
 def test_is_connected_ccd():
     assert is_connected_ccd(_theta_ccd())
-    two_chords = CCD.from_chord_diagram(ChordDiagram.from_text("1122"))
+    two_chords = from_chord_diagram(ChordDiagram.from_text("1122"))
     assert not is_connected_ccd(two_chords)
-    crossing = CCD.from_chord_diagram(ChordDiagram.from_text("1212"))
+    crossing = from_chord_diagram(ChordDiagram.from_text("1212"))
     assert is_connected_ccd(crossing)
 
 
@@ -438,6 +501,18 @@ def test_is_connected_ccd_matches_naive_scan(n, seed, r):
         assert is_connected_ccd(c) == _naive_is_connected_ccd(c)
 
 
+def test_diagram_sum_holds_ints():
+    d = ChordDiagram.from_text("1212")
+    for bad in (Fraction(1, 2), 0.5, "1"):
+        with pytest.raises(DiagramError):
+            DiagramSum([(d, bad)])
+        with pytest.raises(DiagramError):
+            DiagramSum([(d, 1)]).scaled(bad)
+    s = DiagramSum([(d, Fraction(3))])
+    assert type(s.terms[d]) is int and s.terms[d] == 3
+    assert type(s.scaled(Fraction(-2)).terms[d]) is int
+
+
 def test_diagram_sum_arithmetic():
     a = ChordDiagram.from_text("1122")
     b = ChordDiagram.from_text("1212")
@@ -459,7 +534,7 @@ def test_ccd_json_serialisation_is_canonical():
         (("x", 1), ("v", 1, 2), ("v", 1, 1)),
         (("x", 0), ("v", 0, 2), ("v", 0, 1)),
     ])
-    ja, jb = a.to_json_dict(), b.to_json_dict()
+    ja, jb = ccd_json(a), ccd_json(b)
     assert json.dumps(ja, sort_keys=True) == json.dumps(jb, sort_keys=True)
     assert ja["order"] == 2 and len(ja["vertices"]) == 2
 

@@ -16,7 +16,8 @@ A defaulted parameter of a `src` function that no call in `src`,
 so it must be a constant instead.
 
 A top-level function, class or constant of `src` that no `src` module
-loads serves only its callers outside the library.  Test-only builders
+loads serves only its callers outside the library, and so does a method
+whose name no `src` module reads as an attribute.  Test-only builders
 and oracles belong in `tests`, so such a name must be listed with the
 reason it stays public.
 """
@@ -241,18 +242,38 @@ def test_no_unset_defaults():
 
 
 def unloaded_definitions(modules):
-    """Top-level functions, classes and constants of `modules` ({module:
-    source}) that no module loads, as sorted (module, name, line).
+    """Top-level functions, classes and constants, and methods of
+    top-level classes, of `modules` ({module: source}) that no module
+    loads, as sorted (module, name, line); a method is named
+    `Class.method`.
 
     A name is loaded when a top-level statement of its own module other
     than its definition reads it, so a recursive call does not count, or
     when another module imports it (`from .module import name`); an
-    import that is never read is caught by the import rule.
+    import that is never read is caught by the import rule.  A method is
+    loaded when code outside its own body reads an attribute of its name
+    on any object, since the reader's type is not known; a `__dunder__`
+    method is called by Python itself and is not checked.
     """
     defined = {}
     loaded = set()
+    methods = {}    # (module, Class.method) -> method name
+    attrs = {}      # attribute name -> the methods whose bodies read it
     for module, source in modules.items():
         for stmt in ast.parse(source).body:
+            parts = [(stmt, None)]
+            if isinstance(stmt, ast.ClassDef):
+                parts = [(item, (module, f"{stmt.name}.{item.name}"))
+                         if isinstance(item, FUNCTIONS) else (item, None)
+                         for item in stmt.body]
+            for part, qual in parts:
+                if qual is not None and not part.name.startswith("__"):
+                    methods[qual] = part.name
+                    defined[qual] = part.lineno
+                for node in ast.walk(part):
+                    if (isinstance(node, ast.Attribute)
+                            and isinstance(node.ctx, ast.Load)):
+                        attrs.setdefault(node.attr, set()).add(qual)
             if isinstance(stmt, (*FUNCTIONS, ast.ClassDef)):
                 names = {stmt.name}
             elif isinstance(stmt, ast.Assign):
@@ -272,6 +293,8 @@ def unloaded_definitions(modules):
                 elif isinstance(node, ast.ImportFrom) and node.level == 1:
                     loaded.update((node.module, alias.name)
                                   for alias in node.names)
+    loaded.update(qual for qual, name in methods.items()
+                  if attrs.get(name, set()) - {qual})
     return sorted(key + (line,) for key, line in defined.items()
                   if key not in loaded)
 
@@ -288,6 +311,13 @@ def test_definition_rule_flags_unloaded_and_keeps_loaded():
            "class Thing:\n"
            "    def make(self):\n"
            "        return Thing()\n"
+           "    def __eq__(self, other):\n"
+           "        return self.size == other.size\n"
+           "    @property\n"
+           "    def size(self):\n"
+           "        return 1\n"
+           "    def again(self):\n"
+           "        return self.again()\n"
            "if __name__ == '__main__':\n"
            "    api(1)\n")
     util = ("def helper(x):\n"
@@ -296,6 +326,7 @@ def test_definition_rule_flags_unloaded_and_keeps_loaded():
             "    from .lib import Thing\n"
             "    return Thing\n")
     assert unloaded_definitions({"lib": lib, "util": util}) == [
+        ("lib", "Thing.again", 17), ("lib", "Thing.make", 10),
         ("lib", "UNUSED", 3), ("lib", "_B", 4), ("lib", "rec", 7),
         ("util", "lazy", 3)]
 
@@ -309,6 +340,12 @@ PUBLIC_UNLOADED = {
     "gausscodes.LEFT_TREFOIL": "an input knot of the knot_sums workload",
     "invariants.fit_arrow_formula": "re-derives the frozen weights; order 4 "
                                     "will fit its patterns with it",
+    "linalg.WeightSystem.annihilates": "the chord_dims workload checks every "
+                                       "dual functional with it",
+    "linalg.WeightSystem.normalized_at": "demos/dimensions_walkthrough.py "
+                                         "scales its weight system with it",
+    "ribbon.FormalKnot.as_code": "the planned `ribbon index` realizes formal "
+                                 "sums as Gauss codes with it",
     "ribbon.formal_vn_inverse": "the planned `ribbon match` builds on it",
     "ribbon.realize_weights": "the planned `ribbon match` builds on it",
 }

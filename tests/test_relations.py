@@ -2,6 +2,7 @@ import json
 import random
 from copy import deepcopy
 from hashlib import sha256
+from itertools import permutations
 
 import pytest
 from fractions import Fraction
@@ -12,7 +13,9 @@ from vassiliev.diagrams import (
     DiagramSum,
     enumerate_chord_diagrams,
 )
+from vassiliev import diagrams, relations
 from vassiliev.errors import ConsistencyError, DiagramError
+from vassiliev.ngons import one_branch_tree
 from vassiliev.relations import (
     four_t_relations,
     split_diagram_span,
@@ -22,7 +25,7 @@ from vassiliev.relations import (
 )
 from vassiliev.linalg import RelationSpan, _int_row, _normalize
 
-from ccds import enumerate_connected_ccds, ihx_relation
+from ccds import enumerate_connected_ccds, from_chord_diagram, ihx_relation
 
 
 def theta():
@@ -120,6 +123,36 @@ def test_chord_outputs_are_pinned(n):
             primitive.quotient_dim(), digest) == PINNED_CHORD_OUTPUTS[n]
 
 
+def test_milnor_moore_dimensions():
+    """The chord algebra mod 4T is a polynomial algebra on its primitives
+    (Milnor-Moore), so dim_mod_4t(n) is the x^n coefficient of
+    prod_k (1 - x^k)^(-p_k), with p_1 = 1 (the isolated chord) and p_k
+    the primitive dimension: the 4T span checked against the 4T + split
+    span."""
+    top = 6
+    p = [0, 1] + [quotient_spans(k)[1].quotient_dim()
+                  for k in range(2, top + 1)]
+    assert p[2:] == [1, 1, 2, 3, 5]
+    series = [1] + [0] * top
+    for k in range(1, top + 1):
+        for _ in range(p[k]):   # times 1 / (1 - x^k)
+            for n in range(k, top + 1):
+                series[n] += series[n - k]
+    dims = [len(enumerate_chord_diagrams(1))] + [
+        quotient_spans(n)[0].quotient_dim() for n in range(2, top + 1)]
+    assert series[1:] == dims == [1, 2, 3, 6, 10, 19]
+
+
+def test_stu_memo_stays_under_its_cap(monkeypatch):
+    trees = [one_branch_tree(s) for s in permutations(range(1, 6))]
+    want = [stu_expand(t) for t in trees]
+    monkeypatch.setattr(relations, "_STU_MEMO", {})
+    monkeypatch.setattr(diagrams, "_CANONICAL_MEMO_CAP", 25)
+    for t, expansion in zip(trees, want):
+        assert stu_expand(t) == expansion
+        assert len(relations._STU_MEMO) <= 25
+
+
 def test_stu_golden_two_gon():
     # frozen convention: the 2-gon expands to 2*("1122" - "1212");
     # its weight under any primitive functional is -2 times the value
@@ -133,7 +166,7 @@ def test_stu_golden_two_gon():
 
 def test_stu_expand_chord_diagram_is_identity():
     d = ChordDiagram.from_text("1212")
-    c = CCD.from_chord_diagram(d)
+    c = from_chord_diagram(d)
     assert stu_expand(c).terms == {d: Fraction(1)}
 
 
@@ -146,7 +179,7 @@ def test_stu_expand_order2_tree_is_a_difference():
 
 def test_stu_resolution_count():
     par, cro = stu_resolutions(theta(), 0)
-    assert par.internal_count == 1 and cro.internal_count == 1
+    assert len(par.vertices) == 1 and len(cro.vertices) == 1
     assert par.ext == 3 and cro.ext == 3
 
 
@@ -213,7 +246,7 @@ def stu_expand_with_order(c: CCD, chooser) -> DiagramSum:
     order; `chooser(ccd, candidates)` picks an external vertex."""
     if c.is_chord_diagram():
         return DiagramSum([(c.to_chord_diagram(), 1)])
-    candidates = [p for p in range(c.ext) if c.external_target(p)[0] == "v"]
+    candidates = [p for p in range(c.ext) if c.pairing()[("x", p)][0] == "v"]
     p = chooser(c, candidates)
     parallel, crossed = stu_resolutions(c, p)
     return (stu_expand_with_order(parallel, chooser)
@@ -280,6 +313,6 @@ def test_ihx_lands_in_4t_span():
 
 
 def test_ihx_rejects_external_edge():
-    c = CCD.from_chord_diagram(ChordDiagram.from_text("1212"))
+    c = from_chord_diagram(ChordDiagram.from_text("1212"))
     with pytest.raises((DiagramError, IndexError)):
         ihx_relation(c, (0, 0))

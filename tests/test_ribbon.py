@@ -10,7 +10,6 @@ from vassiliev.invariants import _v3_arrows, invariant_a2, invariant_v3
 from vassiliev.ngons import complete_ngon
 from vassiliev.relations import quotient_spans, stu_expand
 from vassiliev.ribbon import (
-    CrossingScheme,
     FormalKnot,
     all_switchings_trivial,
     formal_vn_inverse,
@@ -21,7 +20,7 @@ from vassiliev.ribbon import (
     verify_ohyama_identity,
 )
 
-from ribbon_oracle import code_scheme_diagrams
+from ribbon_oracle import code_scheme_diagrams, scheme_from_json, sign_of
 from skein_oracle import a2_skein
 
 
@@ -46,7 +45,7 @@ def test_requires_canonical_sigma():
 
 def test_scheme_serialisation():
     _, scheme = ribbon_gauss_code((1, 2))
-    again = CrossingScheme.from_json(scheme.to_json())
+    again = scheme_from_json(scheme.to_json())
     assert again == scheme
 
 
@@ -198,5 +197,5 @@ def test_scheme_pairs_are_signed_clasps():
     for sigma in ((1, 2), (1, 2, 3)):
         code, scheme = ribbon_gauss_code(sigma)
         for c1, c2 in scheme.sets:
-            assert code.sign_of(c1) == 1
-            assert code.sign_of(c2) == -1
+            assert sign_of(code, c1) == 1
+            assert sign_of(code, c2) == -1
