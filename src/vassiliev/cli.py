@@ -156,10 +156,9 @@ def cmd_ribbon(args):
         checks["inverse_switchings_trivial"] = "skipped"
     checks["scheme_identity"] = (verify_ohyama_identity(sigma) if n <= 4
                                  else "skipped")
-    if n <= 3:
+    if n <= 3:  # <= SWITCHINGS_MAX_ORDER, so `inv` is built
         # the inverse member negates invariants of order <= n only
         from .invariants import invariant_a2, invariant_v3
-        inv, _ = ribbon_inverse_code(sigma)
         checks["a2_negates"] = bool(invariant_a2(inv) == -invariant_a2(code))
         if n >= 3:
             checks["v3_negates"] = bool(invariant_v3(inv) == -invariant_v3(code))

@@ -15,9 +15,16 @@ empty code certifies the unknot, anything else is inconclusive and
 callers fall back to the determinant `alexander_det` (= |Alexander
 polynomial at -1|) as a necessary condition.
 
-`alexander_polynomial` gives the whole normalised Alexander polynomial,
-interpolated exactly from determinants at integer points.  Both read the
-one Fox-calculus matrix `_alexander_matrix`.
+`alexander_polynomial` gives the whole normalised Alexander polynomial
+from one determinant of the Fox-calculus matrix `_alexander_matrix` at a
+power of two, whose balanced digits are the coefficients (Kronecker
+substitution).
+
+A visible connected sum (concatenated blocks) splits into summands by
+`split_summands`.  The table `_PARTS` keeps each distinct summand once:
+as given, reduced by R1/R2 only, with the reduction's Alexander
+polynomial, and with the value of every evaluator run on it.
+`alexander_det` is the product of the summands' |Delta(-1)| read off it.
 """
 
 from __future__ import annotations
@@ -25,12 +32,12 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import compress, count
 from operator import eq
 from typing import NamedTuple
 
+from .diagrams import _remember
 from .errors import ConsistencyError, DiagramError
 
 DEFAULT_BUDGET = 10000
@@ -175,7 +182,8 @@ def _least_read(ps):
 
 def _moved(passages) -> GaussCode:
     """A GaussCode built without `__post_init__`'s checks.  Only the
-    Reidemeister moves call it: a move on a valid code gives a valid code."""
+    Reidemeister moves and `split_summands` call it: a move on a valid
+    code gives a valid code, and so does a fully paired block of one."""
     code = object.__new__(GaussCode)
     object.__setattr__(code, "passages", passages)
     return code
@@ -401,40 +409,34 @@ def _alexander_matrix(code: GaussCode, t: int):
     return rows
 
 
-def alexander_det(code: GaussCode) -> int:
-    """|Alexander polynomial at -1| (the knot determinant); unknot gives 1."""
-    return abs(_int_det(_alexander_matrix(code, -1)))
-
-
 def alexander_polynomial(code: GaussCode) -> tuple:
     """Alexander polynomial as its coefficients, lowest power first,
     normalised to have no factor +-t^m and Delta(1) = 1.
 
-    The minor's determinant has degree at most c - 1 for c arcs, so its
-    values at c consecutive integers fix it exactly.  A knot's polynomial is
-    palindromic; anything else raises ConsistencyError.
+    The minor is c - 1 rows of polynomials in t of degree at most 1 for c
+    crossings, and each row's coefficients have 1-norm at most 4.  So
+    expanding the determinant row by row bounds the 1-norm of its
+    coefficients by 4^(c-1) < 2^(B-1), with B = 2c + 2: its value at
+    t = 2^B has the coefficients as its balanced base-2^B digits.  A
+    knot's polynomial is palindromic; anything else raises
+    ConsistencyError.
     """
     if not code.is_realizable():
         raise DiagramError("Alexander polynomial needs a realizable code")
-    n = max(len(code), 1)
-    xs = range(-(n // 2), n - n // 2)
-    # Newton divided differences, then the Newton form expanded
-    dd = [Fraction(_int_det(_alexander_matrix(code, x))) for x in xs]
-    for k in range(1, len(xs)):
-        for i in range(len(xs) - 1, k - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - k])
-    poly = [dd[-1]]
-    for k in range(len(xs) - 2, -1, -1):
-        poly = [Fraction(0)] + poly
-        for i in range(len(poly) - 1):
-            poly[i] -= xs[k] * poly[i + 1]
-        poly[0] += dd[k]
-    nonzero = [i for i, a in enumerate(poly) if a]
-    delta = poly[nonzero[0]:nonzero[-1] + 1] if nonzero else []
+    bits = 2 * len(code) + 2
+    value = _int_det(_alexander_matrix(code, 1 << bits))
+    poly = []
+    while value:
+        digit = value & ((1 << bits) - 1)
+        if digit >> (bits - 1):
+            digit -= 1 << bits
+        poly.append(digit)
+        value = (value - digit) >> bits
+    delta = poly[next((i for i, a in enumerate(poly) if a), 0):]
     unit = sum(delta)
-    if unit not in (1, -1) or any(a.denominator != 1 for a in delta):
+    if unit not in (1, -1):
         raise ConsistencyError(f"Alexander polynomial {delta} is not a knot's")
-    delta = tuple(int(a * unit) for a in delta)
+    delta = tuple(a * unit for a in delta)
     if delta != delta[::-1]:
         raise ConsistencyError(
             f"Alexander polynomial {delta} is not palindromic")
@@ -472,6 +474,73 @@ def connected_sum(a: GaussCode, b: GaussCode) -> GaussCode:
         return a
     offset = max(a.crossings) if a.crossings else 0
     return GaussCode(a.passages + b.relabelled(offset).passages)
+
+
+def split_summands(code: GaussCode):
+    """Split a visible connected sum (concatenated blocks) into factors.
+
+    Scanning from the base point, every prefix whose crossings are fully
+    paired closes off a summand.  Valid because the low-order invariants
+    are additive, and the determinant multiplicative, over connected sums.
+    """
+    ps = code.passages
+    if not ps:
+        return [code]
+    parts = []
+    open_ = set()
+    start = 0
+    for i, p in enumerate(ps):
+        if p.crossing in open_:
+            open_.remove(p.crossing)
+        else:
+            open_.add(p.crossing)
+        if not open_ and i < len(ps) - 1:
+            parts.append(_moved(ps[start:i + 1]))
+            start = i + 1
+    parts.append(_moved(ps[start:]))
+    return parts
+
+
+class Summand(NamedTuple):
+    """One entry of the summand table `_PARTS`."""
+
+    code: GaussCode     # the summand as first met
+    small: GaussCode    # reduced by R1/R2 only
+    delta: tuple        # the Alexander polynomial
+    values: dict        # {evaluator: its value on the summand}
+
+
+# summand canonical key -> Summand, bounded by `diagrams._remember`
+_PARTS = {}
+
+
+def summand(part: GaussCode) -> Summand:
+    """The table entry of the summand `part`, made on a miss.
+
+    A miss reduces the summand greedily by R1/R2, with no R3 search, and
+    raises DiagramError if it is not realizable.
+    """
+    key = part.canonical_key()
+    entry = _PARTS.get(key)
+    if entry is None:
+        small = simplify(part, budget=0)
+        entry = Summand(part, small, alexander_polynomial(small), {})
+        _remember(_PARTS, {key: entry})
+    return entry
+
+
+def alexander_det(code: GaussCode) -> int:
+    """|Alexander polynomial at -1| (the knot determinant); unknot gives 1.
+
+    The determinant is multiplicative over connected sums, so it is the
+    product over the summand table's polynomials.  A code that is not
+    realizable raises DiagramError.
+    """
+    det = 1
+    for part in split_summands(code):
+        delta = summand(part).delta
+        det *= abs(sum(delta[::2]) - sum(delta[1::2]))
+    return det
 
 
 # standard small knots, used as goldens throughout the tests

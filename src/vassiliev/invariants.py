@@ -7,8 +7,8 @@ pattern weights it found are frozen constants, locked by golden tests.
 * `a2_gauss` - the order-2 Gauss-diagram formula: a signed count of
   linked crossing pairs at the base point (Polyak-Viro).
   `a2_alexander` - the z^2 coefficient of the Conway polynomial, read
-  off `gausscodes.alexander_polynomial` (exact determinants).
-  `invariant_a2` requires the two to agree on every code.  The Conway
+  off `gausscodes.alexander_polynomial` (one exact determinant).
+  `invariant_a2` requires the two to agree on every summand.  The Conway
   skein recursion, exponential in the crossing number, is kept in the
   tests as a third, independent oracle.
 
@@ -20,10 +20,11 @@ pattern weights it found are frozen constants, locked by golden tests.
   against is exponential in the crossing number and lives in the tests
   as its oracle.
 
-`a2_alexander` and `invariant_v3` are additive, so they evaluate a
-visible connected sum summand by summand.  Each summand is simplified
-once, and every evaluator's value on it is kept in the one table
-`_PARTS`.
+Both orders are additive, so every evaluator runs summand by summand on
+the visible connected summands, and each distinct summand is evaluated
+once: its value is kept in the summand table of `gausscodes` (`summand`),
+beside the summand's R1/R2 reduction and its Alexander polynomial, from
+which `gausscodes.alexander_det` reads the determinant too.
 """
 
 from __future__ import annotations
@@ -32,65 +33,37 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import ConsistencyError
-from .gausscodes import GaussCode, alexander_polynomial, simplify
+from .gausscodes import GaussCode, split_summands, summand
 from .linalg import RelationSpan
 
 
-def split_summands(code: GaussCode):
-    """Split a visible connected sum (concatenated blocks) into factors.
-
-    Scanning from the base point, every prefix whose crossings are fully
-    paired closes off a summand.  Valid because the low-order invariants
-    are additive over connected sums.
-    """
-    ps = code.passages
-    if not ps:
-        return [code]
-    parts = []
-    open_ = set()
-    start = 0
-    for i, p in enumerate(ps):
-        if p.crossing in open_:
-            open_.remove(p.crossing)
-        else:
-            open_.add(p.crossing)
-        if not open_ and i < len(ps) - 1:
-            parts.append(GaussCode(ps[start:i + 1]))
-            start = i + 1
-    parts.append(GaussCode(ps[start:]))
-    return parts
+def _value(entry, evaluate, arg):
+    """`evaluate(arg)`, stored in the summand's table entry under
+    `evaluate` once it returns (a raise stores nothing)."""
+    values = entry.values
+    got = values.get(evaluate)
+    if got is None:
+        got = values[evaluate] = evaluate(arg)
+    return got
 
 
-# summand canonical key -> (the summand simplified once, {evaluator: value})
-_PARTS = {}
-
-
-def _sum_over_summands(code: GaussCode, evaluate) -> Fraction:
+def _sum_over_summands(code: GaussCode, evaluate, field="small") -> Fraction:
     """Sum of `evaluate` over the visible summands of an additive invariant.
 
-    All invariants share one table, `_PARTS`, keyed by the rotation- and
-    relabel-invariant code key: each summand is shrunk once with a small
-    deterministic move budget, and each evaluator's value on the shrunk
-    copy is stored under the evaluator once it returns (a raise stores
-    nothing).  `evaluate` must be a module-level function: a lambda is a
+    Each summand is looked up once in the summand table, and `evaluate`
+    runs on the entry's `field`: the R1/R2 reduction `small` (no R3
+    search), the summand as given (`code`) or its Alexander polynomial
+    (`delta`).  `evaluate` must be a module-level function: a lambda is a
     new key on every call and would never hit the table.
     """
     total = Fraction(0)
     for part in split_summands(code):
-        key = part.canonical_key()
-        entry = _PARTS.get(key)
-        if entry is None:
-            entry = _PARTS[key] = (simplify(part, budget=400), {})
-        small, values = entry
-        got = values.get(evaluate)
-        if got is None:
-            got = values[evaluate] = evaluate(small)
-        total += got
+        entry = summand(part)
+        total += _value(entry, evaluate, getattr(entry, field))
     return total
 
 
-def _a2_of_delta(small: GaussCode) -> Fraction:
-    delta = alexander_polynomial(small)
+def _a2_of_delta(delta) -> Fraction:
     mid = len(delta) // 2
     return Fraction(sum((k - mid) ** 2 * c for k, c in enumerate(delta)), 2)
 
@@ -101,9 +74,9 @@ def a2_alexander(code: GaussCode) -> Fraction:
     a2 = (1/2) sum k^2 c_k.
 
     Visible connected sums are evaluated factor by factor (a2 is
-    additive), each factor reduced by Reidemeister moves first.
+    additive), each factor's Delta taken from the summand table.
     """
-    return _sum_over_summands(code, _a2_of_delta)
+    return _sum_over_summands(code, _a2_of_delta, "delta")
 
 
 # ---------------------------------------------------------------------------
@@ -169,13 +142,20 @@ def a2_gauss(code: GaussCode) -> Fraction:
 
 
 def invariant_a2(code: GaussCode) -> Fraction:
-    """a2 computed two independent ways; they must agree exactly."""
-    fast = a2_gauss(code)
-    oracle = a2_alexander(code)
-    if fast != oracle:
-        raise ConsistencyError(
-            f"a2 evaluators disagree: counting {fast}, Alexander {oracle}")
-    return fast
+    """a2 computed two independent ways; they must agree exactly on every
+    visible summand.  The count reads the summand as given, so it does
+    not depend on any reduction; the Alexander side reads the table's
+    Delta."""
+    total = Fraction(0)
+    for part in split_summands(code):
+        entry = summand(part)
+        fast = _value(entry, a2_gauss, entry.code)
+        oracle = _value(entry, _a2_of_delta, entry.delta)
+        if fast != oracle:
+            raise ConsistencyError(
+                f"a2 evaluators disagree: counting {fast}, Alexander {oracle}")
+        total += fast
+    return total
 
 
 def _v3_arrows(small: GaussCode) -> Fraction:
@@ -186,8 +166,8 @@ def invariant_v3(code: GaussCode) -> Fraction:
     """v3 on the dual-basis scale, by the triple-arrow formula.
 
     Visible connected sums are evaluated factor by factor (v3 is
-    additive), each on the factor as simplified for the summand table:
-    C(c, 3) triples on the small copy are far fewer than on the raw one.
+    additive), each on the factor as reduced by R1/R2 for the summand
+    table: C(c, 3) triples on the small copy are fewer than on the raw one.
     """
     return _sum_over_summands(code, _v3_arrows)
 

@@ -10,7 +10,7 @@ over.  On this convention the closure of (1, 1, 1) is the right trefoil.
 
 import random
 
-from vassiliev.gausscodes import GaussCode, Passage
+from vassiliev.gausscodes import GaussCode, Passage, connected_sum
 
 
 def braid_closure(word, strands):
@@ -46,3 +46,12 @@ def random_closures(seed, count, max_letters):
         if code is not None:
             out.append(code)
     return out
+
+
+def random_sums(seed):
+    """Connected sums of two and of three closures from
+    `random_closures(seed, 40, 12)`: 39 pairs and 9 triples."""
+    codes = random_closures(seed, 40, 12)
+    sums = [connected_sum(a, b) for a, b in zip(codes, codes[1:])]
+    return sums + [connected_sum(connected_sum(a, b), c)
+                   for a, b, c in zip(codes, codes[5:], codes[11:20])]

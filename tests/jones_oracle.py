@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from vassiliev.errors import ConsistencyError, DiagramError
-from vassiliev.gausscodes import GaussCode
+from vassiliev.gausscodes import GaussCode, simplify
 from vassiliev.invariants import _sum_over_summands, a2_alexander
 
 
@@ -158,19 +158,19 @@ def v3_jones(code: GaussCode) -> Fraction:
     return _v3_raw(code) * _v3_dual_scale()
 
 
-def _v3_small(small: GaussCode) -> Fraction:
+def _v3_small(part: GaussCode) -> Fraction:
+    small = simplify(part, budget=400)
     if len(small) > 18:
         raise DiagramError("code too large for the order-3 evaluator")
     return v3_jones(small)
 
 
-
-
 def v3_state_sum(code: GaussCode) -> Fraction:
-    """v3 by the state sum, factor by factor on the simplified summands.
+    """v3 by the state sum, factor by factor, each summand simplified
+    here (budget 400) from the summand as given.
 
     The value is stored in the library's summand table under `_v3_small`,
     apart from the formula's, so the two v3 evaluators never read each
-    other.
+    other, and the oracle reads none of the table's reductions.
     """
-    return _sum_over_summands(code, _v3_small)
+    return _sum_over_summands(code, _v3_small, "code")

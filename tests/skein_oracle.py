@@ -9,7 +9,7 @@ the tests compare both against this.
 from fractions import Fraction
 
 from vassiliev.errors import DiagramError
-from vassiliev.gausscodes import GaussCode, Passage
+from vassiliev.gausscodes import GaussCode, Passage, simplify
 from vassiliev.invariants import _sum_over_summands
 
 from sequences import least_sequence
@@ -117,18 +117,20 @@ def conway_polynomial(code: GaussCode) -> dict:
     return dict(_conway_link((tuple(code.passages),)))
 
 
-def _a2_of_conway(small: GaussCode) -> Fraction:
-    return Fraction(conway_polynomial(small).get(2, 0))
+def _a2_of_conway(part: GaussCode) -> Fraction:
+    return Fraction(conway_polynomial(simplify(part, budget=400)).get(2, 0))
 
 
 def a2_skein(code: GaussCode) -> Fraction:
     """z^2 coefficient of the Conway polynomial.
 
     Visible connected sums are evaluated factor by factor (a2 is
-    additive); each factor is reduced by Reidemeister moves first, since
-    the skein recursion on a raw clasp diagram branches far too much.
-    The factor's value is stored in the library's summand table under
-    `_a2_of_conway`, apart from the Alexander evaluator's value, so the
-    two a2 evaluators are still compared and never read each other.
+    additive); each factor is simplified here (budget 400) from the
+    summand as given, since the skein recursion on a raw clasp diagram
+    branches far too much.  The factor's value is stored in the library's
+    summand table under `_a2_of_conway`, apart from the Alexander
+    evaluator's value, so the two a2 evaluators are still compared and
+    never read each other, and the oracle reads none of the table's
+    reductions.
     """
-    return _sum_over_summands(code, _a2_of_conway)
+    return _sum_over_summands(code, _a2_of_conway, "code")

@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vassiliev import gausscodes
+from vassiliev import diagrams, gausscodes
 from vassiliev.errors import DiagramError
 from vassiliev.gausscodes import (
     FIGURE_EIGHT,
@@ -23,9 +23,12 @@ from vassiliev.gausscodes import (
     reidemeister_three,
     simplify,
     simplify_budget,
+    split_summands,
 )
 from vassiliev.ribbon import ribbon_gauss_code, ribbon_inverse_code
 
+from alexander_oracle import alexander_by_interpolation, whole_code_det
+from braids import random_closures, random_sums
 from moves_oracle import reidemeister_one, reidemeister_two
 
 
@@ -88,6 +91,55 @@ def test_alexander_polynomial_goldens():
             c * (-1) ** k for k, c in enumerate(delta)))
     with pytest.raises(DiagramError):
         alexander_polynomial(GaussCode.from_text("O1+,U2+,U1+,O2+"))
+
+
+def _members_of_orders_2_to_7():
+    return [ribbon_gauss_code(sigma)[0] for sigma in (
+        (1, 2), (1, 2, 3), (1, 3, 2), (1, 2, 3, 4), (1, 2, 3, 4, 5),
+        (1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6, 7))]
+
+
+def test_alexander_polynomial_equals_the_interpolation_oracle():
+    # one determinant at t = 2^(2c+2) against c determinants interpolated
+    codes = random_closures(7, 300, 14) + _members_of_orders_2_to_7()
+    assert len(codes) == 307
+    for code in codes:
+        assert alexander_polynomial(code) == alexander_by_interpolation(
+            code), code.to_text()
+
+
+def _sums():
+    member = ribbon_gauss_code((1, 2))[0]
+    return random_sums(8) + [connected_sum(member, c)
+                             for c in random_closures(8, 5, 12)]
+
+
+def test_determinant_is_the_whole_code_determinant():
+    granny = connected_sum(RIGHT_TREFOIL, RIGHT_TREFOIL)
+    square = connected_sum(RIGHT_TREFOIL, LEFT_TREFOIL)
+    assert alexander_det(granny) == whole_code_det(granny) == 9
+    assert alexander_det(square) == whole_code_det(square) == 9
+    for code in _sums():
+        assert len(split_summands(code)) >= 2
+        assert alexander_det(code) == whole_code_det(code), code.to_text()
+
+
+def test_determinant_of_a_non_realizable_code_raises():
+    virtual = GaussCode.from_text("O1+,U2+,U1+,O2+")
+    with pytest.raises(DiagramError):
+        alexander_det(virtual)
+    with pytest.raises(DiagramError):
+        alexander_det(connected_sum(RIGHT_TREFOIL, virtual))
+
+
+def test_summand_table_stays_under_its_cap(monkeypatch):
+    monkeypatch.setattr(gausscodes, "_PARTS", {})
+    monkeypatch.setattr(diagrams, "_CANONICAL_MEMO_CAP", 5)
+    sums = _sums()
+    for code in sums:
+        # a cleared table still gives the same determinant
+        assert alexander_det(code) == whole_code_det(code)
+        assert len(gausscodes._PARTS) <= 5
 
 
 def test_r1_removes_kinks():

@@ -338,6 +338,9 @@ PUBLIC_UNLOADED = {
     "gausscodes.alexander_det": "the knot_sums workload and the ribbon "
                                 "demo refute unknottedness with it",
     "gausscodes.LEFT_TREFOIL": "an input knot of the knot_sums workload",
+    "invariants.a2_alexander": "the Alexander side of a2 on a whole code; "
+                               "invariant_a2 compares it per summand, and "
+                               "the a2 calibration and criterion 12 call it",
     "invariants.fit_arrow_formula": "re-derives the frozen weights; order 4 "
                                     "will fit its patterns with it",
     "linalg.WeightSystem.annihilates": "the chord_dims workload checks every "

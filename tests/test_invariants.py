@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from vassiliev import invariants
+from vassiliev import gausscodes, invariants
 from vassiliev.errors import ConsistencyError, DiagramError
 from vassiliev.gausscodes import (
     FIGURE_EIGHT,
@@ -15,6 +15,7 @@ from vassiliev.gausscodes import (
     alexander_polynomial,
     connected_sum,
     simplify,
+    split_summands,
 )
 from vassiliev.invariants import (
     _a2_of_delta,
@@ -30,7 +31,7 @@ from vassiliev.invariants import (
 )
 from vassiliev.ribbon import ribbon_gauss_code, ribbon_inverse_code
 
-from braids import braid_closure, random_closures
+from braids import braid_closure, random_closures, random_sums
 from jones_oracle import (
     _shadow_alternating_sum,
     _v3_small,
@@ -106,7 +107,19 @@ def test_alexander_a2_and_determinant_on_single_switches():
         delta = alexander_polynomial(code)
         assert alexander_det(code) == abs(sum(
             c * (-1) ** k for k, c in enumerate(delta)))
-        assert _a2_of_delta(code) == a2_gauss(code)
+        assert _a2_of_delta(delta) == a2_gauss(code)
+
+
+def test_a2_count_is_additive_over_raw_summands():
+    # invariant_a2 counts each summand as given; the sum of those counts
+    # is the count on the whole code
+    sums = random_sums(8) + [GOLDEN_A2["granny"][0], GOLDEN_A2["square"][0]]
+    for code in sums:
+        parts = split_summands(code)
+        assert len(parts) >= 2
+        whole = a2_gauss(code)
+        assert sum(a2_gauss(part) for part in parts) == whole
+        assert invariant_a2(code) == whole, code.to_text()
 
 
 def test_a2_even_parity_on_ribbon_like_sums():
@@ -224,14 +237,14 @@ def test_calibrations():
 
 
 def test_a2_and_v3_simplify_each_summand_once(monkeypatch):
-    monkeypatch.setattr(invariants, "_PARTS", {})
+    monkeypatch.setattr(gausscodes, "_PARTS", {})
     simplified = []
 
     def spy(code, budget):
         simplified.append(code)
         return simplify(code, budget=budget)
 
-    monkeypatch.setattr(invariants, "simplify", spy)
+    monkeypatch.setattr(gausscodes, "simplify", spy)
     code = connected_sum(RIGHT_TREFOIL, FIGURE_EIGHT)
     assert invariant_a2(code) == 0
     assert invariant_v3(code) == v3_jones(RIGHT_TREFOIL)
@@ -245,22 +258,22 @@ def _refuses(small):
 
 
 def test_a_raising_evaluator_stores_nothing(monkeypatch):
-    monkeypatch.setattr(invariants, "_PARTS", {})
+    monkeypatch.setattr(gausscodes, "_PARTS", {})
     assert a2_alexander(RIGHT_TREFOIL) == 1
     for _ in range(2):
         with pytest.raises(DiagramError):
             invariants._sum_over_summands(RIGHT_TREFOIL, _refuses)
-    [(_, values)] = invariants._PARTS.values()
+    [(_, _, _, values)] = gausscodes._PARTS.values()
     assert values == {invariants._a2_of_delta: 1}
     assert a2_alexander(RIGHT_TREFOIL) == 1
 
 
 def test_skein_and_alexander_agree_from_an_empty_table(monkeypatch):
-    monkeypatch.setattr(invariants, "_PARTS", {})
+    monkeypatch.setattr(gausscodes, "_PARTS", {})
     for name, (code, value) in GOLDEN_A2.items():
         assert a2_skein(code) == a2_alexander(code) == value, name
     # each evaluator keeps its own value: the oracle never reads Delta's
-    for _, values in invariants._PARTS.values():
+    for _, _, _, values in gausscodes._PARTS.values():
         assert set(values) == {_a2_of_conway, invariants._a2_of_delta}
 
 
@@ -284,11 +297,11 @@ def test_braid_closures():
 def test_v3_formula_matches_the_state_sum(monkeypatch):
     # goldens through the summand table, held-out closed braids (never in
     # the refit corpus) raw; the state sum is the independent oracle
-    monkeypatch.setattr(invariants, "_PARTS", {})
+    monkeypatch.setattr(gausscodes, "_PARTS", {})
     for name, (code, _) in GOLDEN_A2.items():
         assert invariant_v3(code) == v3_state_sum(code), name
     # each evaluator keeps its own value: the oracle never reads the formula's
-    for _, values in invariants._PARTS.values():
+    for _, _, _, values in gausscodes._PARTS.values():
         assert set(values) == {_v3_small, _v3_arrows}
     held_out = random_closures(2, 200, 10)
     for code in held_out:
